@@ -38,7 +38,7 @@ func TestConfigValidation(t *testing.T) {
 func TestChargeConservation(t *testing.T) {
 	const procs = 4
 	cfg := smallCfg()
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: procs}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: procs}, func(r *simmpi.Rank) {
 		st, err := NewState(r, cfg)
 		if err != nil {
 			panic(err)
@@ -60,7 +60,7 @@ func TestChargeConservation(t *testing.T) {
 func TestPoissonSolverRecoversSmoothPotential(t *testing.T) {
 	// Load a single Fourier mode of charge and verify the solver returns
 	// the analytic potential φ = ρ/k² via the field differentiation.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 2}, func(r *simmpi.Rank) {
 		cfg := smallCfg()
 		cfg.ParticlesPerRank = 1
 		st, err := NewState(r, cfg)
@@ -107,7 +107,7 @@ func TestBeamsRepelTransversely(t *testing.T) {
 	// Both beams deposit like-signed charge, so the beam-beam force is
 	// repulsive: beam 0 (at x≈0.4) must be pushed away from beam 1
 	// (at x≈0.6), i.e. feel a negative E_x.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
 		cfg := smallCfg()
 		cfg.Steps = 1
 		st, err := NewState(r, cfg)
@@ -143,7 +143,7 @@ func TestBeamsRepelTransversely(t *testing.T) {
 func TestTransferMapPreservesEmittanceWithoutKick(t *testing.T) {
 	// With fields zeroed, the linear rotation must preserve the RMS
 	// emittance exactly.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := smallCfg()
 		st, err := NewState(r, cfg)
 		if err != nil {
@@ -166,7 +166,7 @@ func TestTransferMapPreservesEmittanceWithoutKick(t *testing.T) {
 func TestParticleCountFixed(t *testing.T) {
 	// Particle-field decomposition: particles never migrate between ranks.
 	cfg := smallCfg()
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 4}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: 4}, func(r *simmpi.Rank) {
 		st, err := NewState(r, cfg)
 		if err != nil {
 			panic(err)

@@ -34,7 +34,7 @@ func TestLinearStandingWaveOscillates(t *testing.T) {
 	// With coupling 0 and periodic boundaries, a sin(2πx) mode in φ obeys
 	// the wave equation: after a quarter period φ ≈ 0 everywhere, and the
 	// energy is conserved.
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := Config{NominalPerProc: 16, ActualPerProc: 16, Steps: 1,
 			Coupling: 0, Periodic: true, CFL: 0.25}
 		st, err := NewState(r, cfg)
@@ -68,7 +68,7 @@ func TestLinearStandingWaveOscillates(t *testing.T) {
 }
 
 func TestStabilityNoNaNs(t *testing.T) {
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 8}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: 8}, func(r *simmpi.Rank) {
 		st, err := NewState(r, testCfg())
 		if err != nil {
 			panic(err)
@@ -90,7 +90,7 @@ func TestRadiationBCDampsEnergy(t *testing.T) {
 	// reaches the boundary; with periodic boundaries it does not.
 	run := func(periodic bool) float64 {
 		var eFinal float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 			cfg := Config{NominalPerProc: 16, ActualPerProc: 16, Steps: 1,
 				Coupling: 0, Periodic: periodic, CFL: 0.25}
 			st, err := NewState(r, cfg)
@@ -121,7 +121,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// the 8-rank run a 4³ per-processor block.
 	probe := func(p, perProc int) float64 {
 		var val float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: p}, func(r *simmpi.Rank) {
 			cfg := Config{NominalPerProc: perProc, ActualPerProc: perProc, Steps: 3,
 				Coupling: 0.3, Periodic: true, CFL: 0.2}
 			st, err := NewState(r, cfg)
@@ -151,7 +151,7 @@ func TestNonlinearTermActive(t *testing.T) {
 	// silently dropping the BSSN-style cross terms).
 	run := func(lam float64) float64 {
 		var v float64
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 			cfg := Config{NominalPerProc: 8, ActualPerProc: 8, Steps: 4,
 				Coupling: lam, Periodic: true, CFL: 0.2}
 			st, err := NewState(r, cfg)

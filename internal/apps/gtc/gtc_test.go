@@ -56,7 +56,7 @@ func TestChargeConservation(t *testing.T) {
 	const procs = 8
 	cfg := smallCfg(procs)
 	cfg.Domains = 4 // ppd = 2
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: procs}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: procs}, func(r *simmpi.Rank) {
 		st, err := NewState(r, cfg)
 		if err != nil {
 			panic(err)
@@ -76,7 +76,7 @@ func TestChargeConservation(t *testing.T) {
 func TestParticleCountConservedByShift(t *testing.T) {
 	const procs = 8
 	cfg := smallCfg(procs)
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: procs}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: procs}, func(r *simmpi.Rank) {
 		st, err := NewState(r, cfg)
 		if err != nil {
 			panic(err)
@@ -98,7 +98,7 @@ func TestParticleCountConservedByShift(t *testing.T) {
 func TestShiftDeliversParticlesToOwnDomain(t *testing.T) {
 	const procs = 8
 	cfg := smallCfg(procs)
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: procs}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: procs}, func(r *simmpi.Rank) {
 		st, err := NewState(r, cfg)
 		if err != nil {
 			panic(err)
@@ -117,7 +117,7 @@ func TestShiftDeliversParticlesToOwnDomain(t *testing.T) {
 
 func TestPoissonReducesResidual(t *testing.T) {
 	// The plane solve must move φ toward satisfying ∇²φ = −(ρ−mean).
-	_, err := simmpi.Run(simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
 		cfg := smallCfg(1)
 		st, err := NewState(r, cfg)
 		if err != nil {

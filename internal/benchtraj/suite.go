@@ -93,7 +93,7 @@ func benchTable1PingPong(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, m := range machine.All() {
-			if _, err := pingpong.Measure(m); err != nil {
+			if _, err := pingpong.Measure(ctx, m); err != nil {
 				b.Fatal(err)
 			}
 		}

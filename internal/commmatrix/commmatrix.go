@@ -1,8 +1,9 @@
-// Package trace records communication structure and intensity during a
-// simulated run. Its main product is the interprocessor communication
-// matrix — bytes exchanged between every pair of ranks — which regenerates
-// the topology/intensity plots of the paper's Figure 1 (bottom row).
-package trace
+// Package commmatrix records communication structure and intensity
+// during a simulated run. Its main product is the interprocessor
+// communication matrix — bytes exchanged between every pair of ranks —
+// which regenerates the topology/intensity plots of the paper's
+// Figure 1 (bottom row).
+package commmatrix
 
 import (
 	"fmt"
@@ -182,7 +183,7 @@ func (c *Collector) CollectiveCounts() []string {
 func (c *Collector) WriteCSV(w io.Writer) error {
 	m := c.Matrix()
 	if m == nil {
-		return fmt.Errorf("trace: matrix not recorded for %d ranks", c.n)
+		return fmt.Errorf("commmatrix: matrix not recorded for %d ranks", c.n)
 	}
 	for _, row := range m {
 		parts := make([]string, len(row))
@@ -205,7 +206,7 @@ var heatRunes = []rune(" .:-=+*#%@")
 func (c *Collector) WriteHeatmap(w io.Writer, size int) error {
 	m := c.Matrix()
 	if m == nil {
-		return fmt.Errorf("trace: matrix not recorded for %d ranks", c.n)
+		return fmt.Errorf("commmatrix: matrix not recorded for %d ranks", c.n)
 	}
 	if size <= 0 || size > c.n {
 		size = c.n

@@ -25,8 +25,8 @@ func ApexMapStudy(ctx context.Context, opts Options) ([]runner.Result, error) {
 		}
 		jobs[i] = runner.Job{
 			Key: runner.Key("apexmap", spec, procs, alphas, ls),
-			Run: func(context.Context) (runner.Result, error) {
-				res, err := apexmap.Sweep(spec, procs, alphas, ls)
+			Run: func(ctx context.Context) (runner.Result, error) {
+				res, err := apexmap.Sweep(ctx, spec, procs, alphas, ls)
 				if err != nil {
 					return runner.Result{}, fmt.Errorf("apexmap %s: %w", spec.Name, err)
 				}

@@ -7,10 +7,10 @@ import (
 	"io"
 
 	"repro/internal/apps"
+	"repro/internal/commmatrix"
 	"repro/internal/machine"
 	"repro/internal/runner"
 	"repro/internal/simmpi"
-	"repro/internal/trace"
 )
 
 // CommTopo is one application's recorded interprocessor communication
@@ -18,13 +18,13 @@ import (
 type CommTopo struct {
 	App       string
 	Procs     int
-	Collector *trace.Collector
+	Collector *commmatrix.Collector
 }
 
 // captureTopo runs one workload with a communication collector attached,
 // using the workload's downsized Figure 1 capture configuration.
-func captureTopo(ctx context.Context, w apps.Workload, spec machine.Spec, procs int) (*trace.Collector, error) {
-	col := trace.NewCollector(procs)
+func captureTopo(ctx context.Context, w apps.Workload, spec machine.Spec, procs int) (*commmatrix.Collector, error) {
+	col := commmatrix.NewCollector(procs)
 	sim := simmpi.Config{Machine: spec, Procs: procs, Collector: col}
 	if _, err := w.Run(ctx, sim, apps.TopoConfig(w, spec, procs)); err != nil {
 		return nil, fmt.Errorf("commtopo %s: %w", w.Name(), err)

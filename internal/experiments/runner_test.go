@@ -3,11 +3,15 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -180,5 +184,47 @@ func TestFigureArtifacts(t *testing.T) {
 	}
 	if !bytes.Contains(js.Bytes(), []byte(`"experiment": "Figure 3"`)) {
 		t.Error("JSON export lacks the experiment field")
+	}
+}
+
+// TestTable1HonoursCancelledContext: Table 1's microbenchmark worlds
+// run on the job's context, so a cancelled regeneration returns the
+// cancellation instead of a table.
+func TestTable1HonoursCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := Table1(ctx, Options{Runner: &runner.Pool{}})
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("Table1 on a cancelled context = %d rows, %v; want context.Canceled", len(rows), err)
+	}
+}
+
+// TestTable1WorldsJoinTheTrace: a traced Table 1 records every
+// simulated world it runs — the latency and bandwidth ping-pongs, two
+// per machine.
+func TestTable1WorldsJoinTheTrace(t *testing.T) {
+	tr := obs.NewTrace(obs.NewID(), "table1")
+	if _, err := Table1(obs.ContextWithTrace(context.Background(), tr), Options{Runner: &runner.Pool{}}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct{ Name, Ph string } `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	worlds := 0
+	for _, ev := range file.TraceEvents {
+		if ev.Ph == "X" && ev.Name == "simmpi.world" {
+			worlds++
+		}
+	}
+	if want := 2 * len(machine.All()); worlds != want {
+		t.Fatalf("trace holds %d simmpi.world spans, want %d", worlds, want)
 	}
 }

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/machine"
@@ -44,7 +45,7 @@ func BenchmarkForward3D32(b *testing.B) {
 // transposes over the simulated MPI runtime.
 func BenchmarkParallel3D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := simmpi.Run(simmpi.Config{Machine: machine.Jaguar, Procs: 8}, func(r *simmpi.Rank) {
+		_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: 8}, func(r *simmpi.Rank) {
 			plan, err := NewParallel3D(r, r.World(), 32, 32, 32, 256, 256, 256)
 			if err != nil {
 				panic(err)

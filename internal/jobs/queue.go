@@ -98,12 +98,10 @@ type Config struct {
 	// bucket capacity (default: SubmitRate rounded up, minimum 1).
 	SubmitRate  float64
 	SubmitBurst int
-	// Warnf receives non-fatal warnings (a WAL append that failed, a
-	// corrupt log skipped at recovery). Nil routes through Log.
-	Warnf func(format string, args ...any)
-	// Log receives the queue's structured warnings when Warnf is nil;
-	// nil falls back to a human-readable logger on os.Stderr. Warnings
-	// about a specific job carry a job=<id> field.
+	// Log receives the queue's non-fatal warnings (a WAL append that
+	// failed, a corrupt log skipped at recovery); nil falls back to a
+	// human-readable logger on os.Stderr. Warnings about a specific job
+	// carry a job=<id> field.
 	Log *slog.Logger
 	// Sink, if non-nil, retains one completed trace per executed job,
 	// keyed by the job's ID — the trace GET /v1/trace/{id} serves for an
@@ -240,21 +238,12 @@ func Open(dir string, cfg Config) (*Queue, error) {
 func (q *Queue) Dir() string { return q.dir }
 
 func (q *Queue) warnf(format string, args ...any) {
-	if q.cfg.Warnf != nil {
-		q.cfg.Warnf(format, args...)
-		return
-	}
 	q.logger().Warn(fmt.Sprintf(format, args...))
 }
 
-// warnJob is warnf for warnings about one job: the structured path
-// carries the id as a job= field (the Warnf hook keeps its legacy
-// formatted-only signature).
+// warnJob is warnf for warnings about one job, carrying the id as a
+// job= field.
 func (q *Queue) warnJob(id, format string, args ...any) {
-	if q.cfg.Warnf != nil {
-		q.cfg.Warnf(format, args...)
-		return
-	}
 	q.logger().Warn(fmt.Sprintf(format, args...), "job", id)
 }
 

@@ -6,6 +6,8 @@
 package pingpong
 
 import (
+	"context"
+
 	"repro/internal/machine"
 	"repro/internal/simmpi"
 )
@@ -24,13 +26,14 @@ const latencyIters = 100
 
 // Latency measures one-way inter-node latency between ranks 0 and ppn
 // (guaranteed to be on different nodes) with zero-byte payloads.
-func Latency(spec machine.Spec) (float64, error) {
+// Cancelling ctx aborts the simulated world and returns ctx's error.
+func Latency(ctx context.Context, spec machine.Spec) (float64, error) {
 	procs := 2 * spec.ProcsPerNode
 	if procs > spec.TotalProcs {
 		procs = spec.TotalProcs
 	}
 	partner := spec.ProcsPerNode
-	rep, err := simmpi.Run(simmpi.Config{Machine: spec, Procs: procs}, func(r *simmpi.Rank) {
+	rep, err := simmpi.RunContext(ctx, simmpi.Config{Machine: spec, Procs: procs}, func(r *simmpi.Rank) {
 		switch r.ID() {
 		case 0:
 			for i := 0; i < latencyIters; i++ {
@@ -55,14 +58,14 @@ func Latency(spec machine.Spec) (float64, error) {
 // Bandwidth measures the per-processor bidirectional exchange bandwidth:
 // each rank of node 0 exchanges msgBytes with its counterpart on node 1,
 // all pairs simultaneously.
-func Bandwidth(spec machine.Spec, msgBytes float64) (float64, error) {
+func Bandwidth(ctx context.Context, spec machine.Spec, msgBytes float64) (float64, error) {
 	ppn := spec.ProcsPerNode
 	procs := 2 * ppn
 	if procs > spec.TotalProcs {
 		procs = spec.TotalProcs
 	}
 	const iters = 10
-	rep, err := simmpi.Run(simmpi.Config{Machine: spec, Procs: procs}, func(r *simmpi.Rank) {
+	rep, err := simmpi.RunContext(ctx, simmpi.Config{Machine: spec, Procs: procs}, func(r *simmpi.Rank) {
 		var partner int
 		if r.ID() < ppn {
 			partner = r.ID() + ppn
@@ -85,12 +88,12 @@ func Bandwidth(spec machine.Spec, msgBytes float64) (float64, error) {
 }
 
 // Measure runs both microbenchmarks for a machine.
-func Measure(spec machine.Spec) (Result, error) {
-	lat, err := Latency(spec)
+func Measure(ctx context.Context, spec machine.Spec) (Result, error) {
+	lat, err := Latency(ctx, spec)
 	if err != nil {
 		return Result{}, err
 	}
-	bw, err := Bandwidth(spec, 4<<20)
+	bw, err := Bandwidth(ctx, spec, 4<<20)
 	if err != nil {
 		return Result{}, err
 	}

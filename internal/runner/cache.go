@@ -14,6 +14,7 @@ import (
 // entry behind, and a cache directory can be shared between runs.
 type Cache struct {
 	dir string
+	c   tierCounters
 }
 
 // OpenCache opens the result cache rooted at dir, creating the
@@ -35,6 +36,12 @@ func (c *Cache) path(key string) string {
 // Get loads the cached result for key. A missing or unreadable entry is
 // a miss, never an error: a corrupt cache degrades to re-simulation.
 func (c *Cache) Get(key string) (Result, bool) {
+	r, ok := c.read(key)
+	c.c.get(ok)
+	return r, ok
+}
+
+func (c *Cache) read(key string) (Result, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return Result{}, false
@@ -48,6 +55,12 @@ func (c *Cache) Get(key string) (Result, bool) {
 
 // Put stores the result under key.
 func (c *Cache) Put(key string, r Result) error {
+	err := c.write(key, r)
+	c.c.put(err)
+	return err
+}
+
+func (c *Cache) write(key string, r Result) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runner: encoding cache entry: %w", err)
@@ -85,4 +98,11 @@ func (c *Cache) Len() int {
 		}
 	}
 	return n
+}
+
+// Stats reports the disk tier's lifetime traffic and entry count.
+func (c *Cache) Stats() StoreStats {
+	st := c.c.stats("disk")
+	st.Len = c.Len()
+	return st
 }

@@ -20,14 +20,17 @@
 //     communication step, a singleflight waiter abandons only itself,
 //     and Run returns partial results with every per-job error joined
 //     (errors.Join) instead of discarding the batch on first failure.
-//   - Results live in a two-tier store. A [MemCache] is a sharded
-//     in-memory LRU — the fast tier a long-running server answers warm
-//     queries from. A [Cache] persists results as one JSON file per
-//     point under a directory, keyed by the SHA-256 of the experiment
-//     identifier and every value that determines the point's outcome
-//     (machine spec, concurrency, config knobs). A second run of the
-//     same experiment set completes without re-simulating anything;
-//     [Pool.Stats] reports the simulated/mem/disk/deduped split.
+//   - A pool owns two result tiers, both optional. A [MemCache] is a
+//     sharded in-memory LRU — the fast tier a long-running server
+//     answers warm queries from. A [Cache] persists results as one JSON
+//     file per point under a directory, keyed by the SHA-256 of the
+//     experiment identifier and every value that determines the point's
+//     outcome (machine spec, concurrency, config knobs). A lookup tries
+//     memory, then disk, promoting a disk hit into memory; a simulated
+//     point is written to both. A second run of the same experiment set
+//     completes without re-simulating anything; [Pool.Stats] reports
+//     the simulated/mem/disk/deduped split and [Pool.StoreStats] each
+//     tier's traffic.
 //   - Concurrent lookups of one key are deduplicated in flight
 //     (singleflight), so a pool shared by many concurrent Run calls —
 //     internal/server gives every request a [Pool.View] of one shared

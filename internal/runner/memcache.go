@@ -25,6 +25,7 @@ const memShardCount = 16
 // immutable, which every experiment assembler already does.
 type MemCache struct {
 	shards []*memShard
+	c      tierCounters
 }
 
 type memShard struct {
@@ -81,18 +82,21 @@ func (m *MemCache) shard(key string) *memShard {
 func (m *MemCache) Get(key string) (Result, bool) {
 	s := m.shard(key)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	el, ok := s.items[key]
-	if !ok {
-		return Result{}, false
+	var r Result
+	if ok {
+		s.order.MoveToFront(el)
+		r = el.Value.(*memEntry).r
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*memEntry).r, true
+	s.mu.Unlock()
+	m.c.get(ok)
+	return r, ok
 }
 
 // Put stores the result under key, evicting the shard's least recently
 // used entry when the shard is full.
 func (m *MemCache) Put(key string, r Result) {
+	m.c.put(nil)
 	s := m.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,4 +131,11 @@ func (m *MemCache) Cap() int {
 		n += s.cap
 	}
 	return n
+}
+
+// Stats reports the memory tier's lifetime traffic and occupancy.
+func (m *MemCache) Stats() StoreStats {
+	st := m.c.stats("mem")
+	st.Len, st.Cap = m.Len(), m.Cap()
+	return st
 }

@@ -239,6 +239,56 @@ func (s Stats) String() string {
 		s.Points, s.Simulated, s.MemHits, s.Hits, s.Deduped)
 }
 
+// StoreStats is one result tier's lifetime traffic, as /v1/stats and
+// the petasim_store_* series report it. Pool.StoreStats nests the two
+// tiers under a "tiered" node when both are configured.
+type StoreStats struct {
+	// Name identifies the node ("mem", "disk", "tiered").
+	Name string `json:"name"`
+	// Gets counts lookups; Hits the ones that found the key.
+	Gets int64 `json:"gets"`
+	Hits int64 `json:"hits"`
+	// Puts counts stores; PutFailures the ones that returned an error.
+	Puts        int64 `json:"puts"`
+	PutFailures int64 `json:"put_failures,omitempty"`
+	// Backfills counts disk hits promoted into the memory tier
+	// ("tiered" only).
+	Backfills int64 `json:"backfills,omitempty"`
+	// Len and Cap report occupancy for tiers that can count entries.
+	Len int `json:"len,omitempty"`
+	Cap int `json:"cap,omitempty"`
+	// Tiers holds the "tiered" node's children in lookup order: mem,
+	// then disk.
+	Tiers []StoreStats `json:"tiers,omitempty"`
+}
+
+// tierCounters is the atomic backing of one tier's StoreStats.
+type tierCounters struct {
+	gets, hits, puts, putFailures atomic.Int64
+}
+
+func (c *tierCounters) get(ok bool) {
+	c.gets.Add(1)
+	if ok {
+		c.hits.Add(1)
+	}
+}
+
+func (c *tierCounters) put(err error) {
+	c.puts.Add(1)
+	if err != nil {
+		c.putFailures.Add(1)
+	}
+}
+
+func (c *tierCounters) stats(name string) StoreStats {
+	return StoreStats{
+		Name: name,
+		Gets: c.gets.Load(), Hits: c.hits.Load(),
+		Puts: c.puts.Load(), PutFailures: c.putFailures.Load(),
+	}
+}
+
 // Served records how a job was satisfied: simulated fresh, served from
 // the memory or disk tier, or shared with another caller's in-flight
 // simulation. Stream events carry it as per-point provenance.
@@ -299,13 +349,11 @@ func (c *counters) stats() Stats {
 }
 
 // Pool fans jobs out across a fixed set of worker goroutines, serving
-// repeated points from a pluggable result Store — by default the
-// classic two-tier stack, an optional in-memory LRU (Mem) in front of
-// an optional on-disk Cache, composed behind the Store interface.
-// Concurrent lookups of the same key are deduplicated in flight, so a
-// pool shared by many concurrent Run calls — the petasim serve
-// scenario — simulates each point exactly once no matter how many
-// requests race on it.
+// repeated points from its two result tiers: an optional in-memory LRU
+// (Mem) in front of an optional on-disk Cache. Concurrent lookups of
+// the same key are deduplicated in flight, so a pool shared by many
+// concurrent Run calls — the petasim serve scenario — simulates each
+// point exactly once no matter how many requests race on it.
 //
 // The zero value is a serial, uncached pool ready to use. All methods
 // are safe for concurrent use.
@@ -317,22 +365,14 @@ type Pool struct {
 	// from multiplying compute. Values below 1 run serially; values
 	// above the job count are clamped per call.
 	Workers int
-	// Store, if non-nil, is the pool's result store and takes
-	// precedence over the Cache/Mem convenience fields — the seam that
-	// lets a pool run over a sharded router or any other tier
-	// arrangement. A failed store write is a warning (once per pool),
-	// never a job failure — the simulated result is still returned,
-	// the run just loses persistence.
-	Store Store
-	// Cache, if non-nil (and Store is nil), is the persistent tier:
-	// consulted after Mem, updated after a simulated point completes.
+	// Cache, if non-nil, is the persistent tier: consulted after Mem,
+	// written after a simulated point completes. A failed write is a
+	// warning (once per pool), never a job failure — the simulated
+	// result is still returned, the run just loses persistence.
 	Cache *Cache
-	// Mem, if non-nil (and Store is nil), is the fast tier: consulted
-	// first, filled on disk hits and simulated points.
+	// Mem, if non-nil, is the fast tier: consulted first, filled on
+	// disk hits and simulated points.
 	Mem *MemCache
-	// Warnf, if non-nil, receives the pool's non-fatal warnings (e.g.
-	// the first failed cache write). Nil writes to os.Stderr.
-	Warnf func(format string, args ...any)
 
 	stats      counters
 	parent     *Pool // non-nil for views; counts also flow up
@@ -340,61 +380,47 @@ type Pool struct {
 	flightOnce sync.Once
 	sem        chan struct{} // global simulation slots, shared with views
 	semOnce    sync.Once
-	store      Store // resolved once from Store or the Cache/Mem pair
-	storeOnce  sync.Once
 	putWarn    sync.Once
 }
 
-// storeFor resolves the pool's result store once: the explicit Store if
-// set, otherwise the Cache/Mem pair composed into the classic tiered
-// stack (mem in front of disk), or nil when the pool is uncached.
-func (p *Pool) storeFor() Store {
-	p.storeOnce.Do(func() {
-		if p.Store != nil {
-			p.store = p.Store
-			return
-		}
-		var tiers []Store
-		if s := NewMemStore(p.Mem); s != nil {
-			tiers = append(tiers, s)
-		}
-		if s := NewDiskStore(p.Cache); s != nil {
-			tiers = append(tiers, s)
-		}
-		switch len(tiers) {
-		case 0:
-		case 1:
-			p.store = tiers[0]
-		default:
-			p.store = NewTiered(tiers...)
-		}
-	})
-	return p.store
-}
-
-// StoreStats reports the resolved store's lifetime traffic (tier by
-// tier for composites). ok is false for an uncached pool.
+// StoreStats reports the result tiers' lifetime traffic: the one
+// configured tier's node, or a "tiered" node over [mem, disk] when both
+// are. Every lookup consults mem first, so the tiered node's gets are
+// mem's, its hits are either tier's, every disk hit is a backfill into
+// mem, and every write reaches disk once. ok is false for an uncached
+// pool.
 func (p *Pool) StoreStats() (StoreStats, bool) {
-	s := p.storeFor()
-	if s == nil {
-		return StoreStats{}, false
+	switch {
+	case p.Mem != nil && p.Cache != nil:
+		mem, disk := p.Mem.Stats(), p.Cache.Stats()
+		return StoreStats{
+			Name: "tiered",
+			Gets: mem.Gets, Hits: mem.Hits + disk.Hits,
+			Puts: disk.Puts, PutFailures: disk.PutFailures,
+			Backfills: disk.Hits,
+			Tiers:     []StoreStats{mem, disk},
+		}, true
+	case p.Mem != nil:
+		return p.Mem.Stats(), true
+	case p.Cache != nil:
+		return p.Cache.Stats(), true
 	}
-	return s.Stats(), true
+	return StoreStats{}, false
 }
 
 // Stats returns the totals accumulated by this pool (for a View, by
 // that view only).
 func (p *Pool) Stats() Stats { return p.stats.stats() }
 
-// View returns a pool that shares p's worker count, result store,
-// warning sink, and in-flight deduplication group, but accumulates its
+// View returns a pool that shares p's worker count, result tiers, and
+// in-flight deduplication group, but accumulates its
 // own Stats. A long-running server gives each request a view of one
 // shared pool: the request observes exactly what was simulated or
 // served on its behalf, while the root pool keeps lifetime totals
 // (every count recorded through a view is added to its parents too).
 func (p *Pool) View() *Pool {
 	return &Pool{
-		Workers: p.Workers, Store: p.storeFor(), Cache: p.Cache, Mem: p.Mem, Warnf: p.Warnf,
+		Workers: p.Workers, Cache: p.Cache, Mem: p.Mem,
 		flight: p.flightFor(), sem: p.semFor(), parent: p,
 	}
 }
@@ -440,10 +466,6 @@ func (p *Pool) warnPutFailure(err error) {
 		root = root.parent
 	}
 	root.putWarn.Do(func() {
-		if root.Warnf != nil {
-			root.Warnf("runner: cache write failed, continuing without persisting results: %v", err)
-			return
-		}
 		defaultLog.Warn(fmt.Sprintf("runner: cache write failed, continuing without persisting results: %v", err))
 	})
 }
@@ -596,41 +618,30 @@ func (p *Pool) runJob(ctx context.Context, j Job) (Result, Served, error) {
 	return r, via, err
 }
 
-// serveJob serves one job from the result store, another caller's
+// serveJob serves one job from the result tiers, another caller's
 // in-flight lookup, or a fresh simulation — in that order.
 func (p *Pool) serveJob(ctx context.Context, j Job) (Result, Served, error) {
 	if j.Key == "" {
 		r, err := p.simulate(ctx, j)
 		return r, ServedSim, err
 	}
-	store := p.storeFor()
-	if store != nil {
-		if r, via, ok := storeGet(store, j.Key); ok {
-			r.Cached = true
-			return r, via, nil
-		}
+	if r, via, ok := p.lookup(j.Key); ok {
+		r.Cached = true
+		return r, via, nil
 	}
 	via := ServedSim
 	r, dup, err := p.flightFor().do(ctx, j.Key, func(ctx context.Context) (Result, error) {
-		// Re-check the store under the flight: a leader that just
-		// finished this key has already filled it.
-		if store != nil {
-			if r, v, ok := storeGet(store, j.Key); ok {
-				via = v
-				return r, nil
-			}
+		// Re-check the tiers under the flight: a leader that just
+		// finished this key has already filled them.
+		if r, v, ok := p.lookup(j.Key); ok {
+			via = v
+			return r, nil
 		}
 		r, err := p.simulate(ctx, j)
 		if err != nil {
 			return Result{}, err
 		}
-		if store != nil {
-			if err := store.Put(j.Key, r); err != nil {
-				// A result that simulated successfully is never thrown
-				// away because the disk is full or read-only.
-				p.warnPutFailure(err)
-			}
-		}
+		p.store(j.Key, r)
 		return r, nil
 	})
 	if err != nil {
@@ -643,6 +654,39 @@ func (p *Pool) serveJob(ctx context.Context, j Job) (Result, Served, error) {
 		r.Cached = true
 	}
 	return r, via, nil
+}
+
+// lookup consults the memory tier, then the disk tier; a disk hit is
+// promoted into memory so the next lookup stops at the fast tier.
+func (p *Pool) lookup(key string) (Result, Served, bool) {
+	if p.Mem != nil {
+		if r, ok := p.Mem.Get(key); ok {
+			return r, ServedMem, true
+		}
+	}
+	if p.Cache != nil {
+		if r, ok := p.Cache.Get(key); ok {
+			if p.Mem != nil {
+				p.Mem.Put(key, r)
+			}
+			return r, ServedDisk, true
+		}
+	}
+	return Result{}, ServedSim, false
+}
+
+// store writes a simulated result through both tiers. A result that
+// simulated successfully is never thrown away because the disk is full
+// or read-only: a failed disk write only warns.
+func (p *Pool) store(key string, r Result) {
+	if p.Mem != nil {
+		p.Mem.Put(key, r)
+	}
+	if p.Cache != nil {
+		if err := p.Cache.Put(key, r); err != nil {
+			p.warnPutFailure(err)
+		}
+	}
 }
 
 // simulate runs the job's simulation under a global slot, so the total

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -21,19 +22,15 @@ func keyedJob(key string, execs *atomic.Int64) Job {
 }
 
 func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
+	var log bytes.Buffer
+	redirectPoolLog(t, &log)
 	cache := testCache(t)
 	// Destroy the cache directory after opening: every Put now fails the
 	// way a full or read-only disk would.
 	if err := os.RemoveAll(cache.Dir()); err != nil {
 		t.Fatal(err)
 	}
-	var warnings []string
-	var mu sync.Mutex
-	p := &Pool{Workers: 4, Cache: cache, Warnf: func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}}
+	p := &Pool{Workers: 4, Cache: cache}
 	var execs atomic.Int64
 	jobs := make([]Job, 8)
 	for i := range jobs {
@@ -51,8 +48,9 @@ func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 			t.Fatalf("result %d carries %q", i, r.Output)
 		}
 	}
-	if len(warnings) != 1 {
-		t.Fatalf("%d warnings, want exactly 1: %v", len(warnings), warnings)
+	warnings := strings.Split(strings.TrimSpace(log.String()), "\n")
+	if len(warnings) != 1 || log.Len() == 0 {
+		t.Fatalf("%d warnings, want exactly 1: %q", len(warnings), log.String())
 	}
 	if !strings.Contains(warnings[0], "cache write failed") {
 		t.Fatalf("warning %q does not describe the failed write", warnings[0])
@@ -63,7 +61,8 @@ func TestPutFailureWarnsOnceAndContinues(t *testing.T) {
 }
 
 func TestPutFailureDefaultWarnGoesToStderrOnly(t *testing.T) {
-	// With no Warnf the pool must still not fail the job.
+	// Through the default stderr logger the pool must still not fail
+	// the job.
 	cache := testCache(t)
 	if err := os.RemoveAll(cache.Dir()); err != nil {
 		t.Fatal(err)
@@ -117,6 +116,60 @@ func TestDiskHitPromotedToMemTier(t *testing.T) {
 	s := p.Stats()
 	if s.Hits != 1 || s.MemHits != 1 {
 		t.Fatalf("stats %v, want 1 disk hit then 1 mem hit", s)
+	}
+}
+
+func TestTieredGetBackfillsEarlierTiers(t *testing.T) {
+	cache := testCache(t)
+	if err := cache.Put("k", Result{Output: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	p := &Pool{Cache: cache, Mem: NewMemCache(64)}
+	r, via, ok := p.lookup("k")
+	if !ok || r.Output != "v" {
+		t.Fatalf("lookup = %+v, %v", r, ok)
+	}
+	if via != ServedDisk {
+		t.Fatalf("first hit served %v, want disk", via)
+	}
+	// The disk hit must have backfilled the memory tier.
+	if _, ok := p.Mem.Get("k"); !ok {
+		t.Fatal("disk hit did not backfill the memory tier")
+	}
+	if _, via, _ := p.lookup("k"); via != ServedMem {
+		t.Fatalf("second hit served %v, want mem", via)
+	}
+}
+
+func TestTieredPutWritesThrough(t *testing.T) {
+	p := &Pool{Cache: testCache(t), Mem: NewMemCache(64)}
+	var execs atomic.Int64
+	if _, err := p.Run(context.Background(), []Job{keyedJob("k", &execs)}); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := p.Mem.Get("k"); !ok || r.Output != "k" {
+		t.Fatalf("mem tier missing the written entry (%+v, %v)", r, ok)
+	}
+	if r, ok := p.Cache.Get("k"); !ok || r.Output != "k" {
+		t.Fatalf("disk tier missing the written entry (%+v, %v)", r, ok)
+	}
+	st, _ := p.StoreStats()
+	if st.Name != "tiered" || len(st.Tiers) != 2 || st.Puts != 1 {
+		t.Fatalf("tiered stats %+v", st)
+	}
+}
+
+func TestMemAndDiskStoreProvenance(t *testing.T) {
+	mem := &Pool{Mem: NewMemCache(8)}
+	disk := &Pool{Cache: testCache(t)}
+	for _, tc := range []struct {
+		p    *Pool
+		want Served
+	}{{mem, ServedMem}, {disk, ServedDisk}} {
+		tc.p.store("k", Result{Output: "v"})
+		if _, via, ok := tc.p.lookup("k"); !ok || via != tc.want {
+			t.Fatalf("hit served %v, want %v", via, tc.want)
+		}
 	}
 }
 

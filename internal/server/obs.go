@@ -144,8 +144,8 @@ func (s *Server) initObs() {
 		})
 
 	// Store tiers: the StoreStats tree flattened with a path-valued
-	// store label ("tiered/mem", "sharded/shard[0] disk", ...), so the
-	// per-shard hit distribution survives into /metrics.
+	// store label ("tiered", "tiered/mem", "tiered/disk"), so each
+	// tier's traffic survives into /metrics.
 	storeCounter := func(name, help string, pick func(runner.StoreStats) int64) {
 		reg.CounterFunc(name, help, func() []obs.Sample {
 			st, ok := s.pool.StoreStats()
@@ -160,17 +160,17 @@ func (s *Server) initObs() {
 			return out
 		})
 	}
-	storeCounter("petasim_store_gets_total", "Result-store lookups, per tier/shard.",
+	storeCounter("petasim_store_gets_total", "Result-store lookups, per tier.",
 		func(n runner.StoreStats) int64 { return n.Gets })
-	storeCounter("petasim_store_hits_total", "Result-store hits, per tier/shard.",
+	storeCounter("petasim_store_hits_total", "Result-store hits, per tier.",
 		func(n runner.StoreStats) int64 { return n.Hits })
-	storeCounter("petasim_store_puts_total", "Result-store writes, per tier/shard.",
+	storeCounter("petasim_store_puts_total", "Result-store writes, per tier.",
 		func(n runner.StoreStats) int64 { return n.Puts })
-	storeCounter("petasim_store_put_failures_total", "Failed result-store writes, per tier/shard.",
+	storeCounter("petasim_store_put_failures_total", "Failed result-store writes, per tier.",
 		func(n runner.StoreStats) int64 { return n.PutFailures })
-	storeCounter("petasim_store_backfills_total", "Opportunistic promotions into faster tiers.",
+	storeCounter("petasim_store_backfills_total", "Disk hits promoted into the memory tier.",
 		func(n runner.StoreStats) int64 { return n.Backfills })
-	reg.GaugeFunc("petasim_store_entries", "Entries held, per tier/shard that can count.",
+	reg.GaugeFunc("petasim_store_entries", "Entries held, per tier that can count.",
 		func() []obs.Sample {
 			st, ok := s.pool.StoreStats()
 			if !ok {

@@ -568,8 +568,8 @@ type obsInfo struct {
 }
 
 // statsResponse is the body of /v1/stats, in four sections: the pool
-// (Stats/Workers/Mem/DiskDir), the result-store tree Store (per tier or
-// per shard: gets/hits/puts/backfills/fill), the job queue Jobs
+// (Stats/Workers/Mem/DiskDir), the result-store tree Store (per tier:
+// gets/hits/puts/backfills/fill), the job queue Jobs
 // (by-state counts and lifetime rejection/retry counters), and Obs (the
 // trace sink). Schema versions the shape.
 type statsResponse struct {

@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -59,7 +60,7 @@ func TestSchedulerDeterminismUnderStress(t *testing.T) {
 	base := func() *Report {
 		cfg := testCfg(procs)
 		cfg.Shards = 1
-		rep, err := Run(cfg, stressProg)
+		rep, err := RunContext(context.Background(), cfg, stressProg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestSchedulerDeterminismUnderStress(t *testing.T) {
 				}
 				cfg := testCfg(procs)
 				cfg.Shards = shards
-				rep, err := Run(cfg, stressProg)
+				rep, err := RunContext(context.Background(), cfg, stressProg)
 				schedShuffle = nil
 				if err != nil {
 					t.Fatalf("gmp=%d shards=%d seed=%d: %v", gmp, shards, seed, err)

@@ -6,9 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/commmatrix"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/trace"
 )
 
 func testCfg(p int) Config {
@@ -16,17 +16,17 @@ func testCfg(p int) Config {
 }
 
 func TestRunValidates(t *testing.T) {
-	if _, err := Run(Config{Machine: machine.Bassi, Procs: 0}, func(*Rank) {}); err == nil {
+	if _, err := RunContext(context.Background(), Config{Machine: machine.Bassi, Procs: 0}, func(*Rank) {}); err == nil {
 		t.Error("accepted zero ranks")
 	}
-	if _, err := Run(Config{Machine: machine.Bassi, Procs: 10000}, func(*Rank) {}); err == nil {
+	if _, err := RunContext(context.Background(), Config{Machine: machine.Bassi, Procs: 10000}, func(*Rank) {}); err == nil {
 		t.Error("accepted oversubscription")
 	}
 }
 
 func TestComputeAdvancesClockAndCountsFlops(t *testing.T) {
 	k := perfmodel.Kernel{Name: "k", CPUFrac: 0.5}
-	rep, err := Run(testCfg(4), func(r *Rank) {
+	rep, err := RunContext(context.Background(), testCfg(4), func(r *Rank) {
 		r.Compute(k, 1e9)
 	})
 	if err != nil {
@@ -47,7 +47,7 @@ func TestComputeAdvancesClockAndCountsFlops(t *testing.T) {
 func TestSendRecvDelivery(t *testing.T) {
 	// Ranks 0 and 8 are on different Bassi nodes (8 procs/node), so the
 	// full inter-node MPI latency applies.
-	rep, err := Run(testCfg(16), func(r *Rank) {
+	rep, err := RunContext(context.Background(), testCfg(16), func(r *Rank) {
 		switch r.ID() {
 		case 0:
 			r.Send(8, 7, []float64{1, 2, 3})
@@ -70,7 +70,7 @@ func TestSendRecvDelivery(t *testing.T) {
 }
 
 func TestSendCopiesPayload(t *testing.T) {
-	_, err := Run(testCfg(2), func(r *Rank) {
+	_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
 		if r.ID() == 0 {
 			buf := []float64{42}
 			r.Send(1, 0, buf)
@@ -91,7 +91,7 @@ func TestSendCopiesPayload(t *testing.T) {
 }
 
 func TestFIFOOrderingPerSourceTag(t *testing.T) {
-	_, err := Run(testCfg(2), func(r *Rank) {
+	_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
 		const n = 50
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
@@ -111,7 +111,7 @@ func TestFIFOOrderingPerSourceTag(t *testing.T) {
 }
 
 func TestTagsDoNotCross(t *testing.T) {
-	_, err := Run(testCfg(2), func(r *Rank) {
+	_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
 		if r.ID() == 0 {
 			r.Send(1, 1, []float64{1})
 			r.Send(1, 2, []float64{2})
@@ -134,7 +134,7 @@ func TestVirtualTimeCausality(t *testing.T) {
 	// A receiver that was "in the past" is pulled forward to the message
 	// arrival; a receiver already "in the future" keeps its clock.
 	k := perfmodel.Kernel{Name: "k", CPUFrac: 1.0}
-	_, err := Run(testCfg(2), func(r *Rank) {
+	_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
 		if r.ID() == 0 {
 			r.Compute(k, 7.6e9) // ~1 virtual second
 			r.Send(1, 0, []float64{1})
@@ -152,7 +152,7 @@ func TestVirtualTimeCausality(t *testing.T) {
 
 func TestSendrecvRing(t *testing.T) {
 	const p = 8
-	rep, err := Run(testCfg(p), func(r *Rank) {
+	rep, err := RunContext(context.Background(), testCfg(p), func(r *Rank) {
 		right := (r.ID() + 1) % p
 		left := (r.ID() + p - 1) % p
 		got := r.Sendrecv(right, 0, []float64{float64(r.ID())}, left, 0)
@@ -172,7 +172,7 @@ func TestNominalBytesChargedNotActual(t *testing.T) {
 	// Two runs exchanging the same tiny slice, one charging 8 bytes and
 	// one charging 8 MB: the nominal run must take much longer.
 	run := func(nom float64) float64 {
-		rep, err := Run(testCfg(2), func(r *Rank) {
+		rep, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
 			if r.ID() == 0 {
 				r.SendNominal(1, 0, []float64{1}, nom)
 			} else {
@@ -205,7 +205,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 	var walls []float64
 	for i := 0; i < 3; i++ {
-		rep, err := Run(testCfg(16), prog)
+		rep, err := RunContext(context.Background(), testCfg(16), prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestPanicInRankAbortsRun(t *testing.T) {
-	_, err := Run(testCfg(4), func(r *Rank) {
+	_, err := RunContext(context.Background(), testCfg(4), func(r *Rank) {
 		if r.ID() == 2 {
 			panic("boom")
 		}
@@ -230,10 +230,10 @@ func TestPanicInRankAbortsRun(t *testing.T) {
 }
 
 func TestTraceCollectorRecordsMatrix(t *testing.T) {
-	tc := trace.NewCollector(4)
+	tc := commmatrix.NewCollector(4)
 	cfg := testCfg(4)
 	cfg.Collector = tc
-	_, err := Run(cfg, func(r *Rank) {
+	_, err := RunContext(context.Background(), cfg, func(r *Rank) {
 		next := (r.ID() + 1) % 4
 		r.Send(next, 0, make([]float64, 128))
 		r.Recv((r.ID()+3)%4, 0)
@@ -297,7 +297,7 @@ func TestRunContextCompletedRunUnaffected(t *testing.T) {
 	body := func(r *Rank) {
 		r.AllreduceScalar(r.World(), 1, OpSum)
 	}
-	plain, err := Run(testCfg(4), body)
+	plain, err := RunContext(context.Background(), testCfg(4), body)
 	if err != nil {
 		t.Fatal(err)
 	}
