@@ -120,45 +120,21 @@ func (p *SweepPlan) Points() int {
 	return n
 }
 
-// PointEvent is one completed sweep point from SweepPlan.Stream: the
-// structured result (or the point's own error) plus the served-from
-// provenance — freshly simulated, memory tier, disk tier, or
-// deduplicated against a concurrent request.
-type PointEvent struct {
-	// Result is the point record; zero when Err is non-nil.
-	Result runner.Result
-	// Served is the runner's served-from provenance for the point.
-	Served runner.Served
-	// Err is the point's own failure; a streaming sweep keeps going
-	// after a failed point.
-	Err error
-}
-
-// Stream simulates the planned cross-product incrementally, delivering
-// one PointEvent per point in completion order as each finishes —
-// the streaming counterpart of Execute for consumers (the NDJSON
-// endpoint, progress UIs) that cannot wait for the whole batch. The
-// channel closes when every point has been delivered or ctx is
-// cancelled. Completion order varies with scheduling; the byte-identical
-// guarantee belongs to Execute, which assembles in job order.
-func (p *SweepPlan) Stream(ctx context.Context) <-chan PointEvent {
+// Stream simulates the planned cross-product incrementally on the
+// plan's pool, delivering one runner.Event per point in completion
+// order as each finishes — the streaming counterpart of Execute for
+// consumers (the NDJSON endpoint, progress UIs) that cannot wait for
+// the whole batch. The channel closes when every point has been
+// delivered or ctx is cancelled; a consumer that stops reading must
+// cancel ctx. Completion order varies with scheduling; the
+// byte-identical guarantee belongs to Execute, which assembles in job
+// order.
+func (p *SweepPlan) Stream(ctx context.Context) <-chan runner.Event {
 	var jobs []runner.Job
 	for _, fs := range p.specs {
 		jobs = append(jobs, fs.jobs(p.opts)...)
 	}
-	out := make(chan PointEvent)
-	go func() {
-		defer close(out)
-		for ev := range p.opts.pool().Stream(ctx, jobs) {
-			select {
-			case out <- PointEvent{Result: ev.Result, Served: ev.Served, Err: ev.Err}:
-			case <-ctx.Done():
-				// Keep draining so the pool's workers can finish; their
-				// sends are ctx-guarded too, so this loop ends promptly.
-			}
-		}
-	}()
-	return out
+	return p.opts.pool().Stream(ctx, jobs)
 }
 
 // Sweep plans and runs a sweep in one call — the CLI entry point.

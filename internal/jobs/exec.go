@@ -71,97 +71,83 @@ func (e *EngineExecutor) whatifPlan(spec Spec) (*whatif.Plan, error) {
 	return whatif.NewPlan(spec.Apps[0], machines, spec.Procs, perturbs, spec.Steps)
 }
 
-// Run executes the spec, reporting the planned total and one event per
-// completed point (sweeps and whatif grids stream point-by-point via
-// Pool.Stream; figures report their pool-view split once the figure is
-// assembled). A failed point does not stop the rest of the batch; the
-// attempt fails afterwards so the queue's retry policy applies.
-func (e *EngineExecutor) Run(ctx context.Context, spec Spec, report func(PointEvent)) error {
+// Run executes the spec on its own view of the shared pool, whatever
+// its kind, and reports Progress snapshots derived from the view's
+// served-from tally: once the plan is expanded, after each streamed
+// point (sweeps and whatif grids stream point-by-point via
+// Pool.Stream), and once a figure is assembled (figures run through
+// batch entry points, so they have no live per-point progress). A
+// failed point does not stop the rest of the batch; the attempt fails
+// afterwards so the queue's retry policy applies.
+func (e *EngineExecutor) Run(ctx context.Context, spec Spec, report func(Progress)) error {
+	view := e.opts.Runner.View()
+	opts := e.opts
+	opts.Runner = view
 	switch spec.Kind {
 	case KindSweep:
-		plan, err := experiments.PlanSweep(e.opts, spec.Apps, spec.Machines, spec.Procs)
+		plan, err := experiments.PlanSweep(opts, spec.Apps, spec.Machines, spec.Procs)
 		if err != nil {
 			return err
 		}
-		report(PointEvent{Total: plan.Points()})
-		failed, total := 0, plan.Points()
-		var firstErr error
-		for ev := range plan.Stream(ctx) {
-			report(PointEvent{Point: true, Served: ev.Served, Failed: ev.Err != nil})
-			if ev.Err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = ev.Err
-				}
-			}
-		}
-		return streamOutcome(ctx, failed, total, firstErr)
+		return drain(ctx, view, plan.Points(), plan.Stream(ctx),
+			func(ev runner.Event) error { return ev.Err }, report)
 	case KindFigure:
-		return e.runFigure(ctx, spec, report)
+		var err error
+		if spec.Figure == 8 {
+			_, err = experiments.Fig8Summary(ctx, opts)
+		} else {
+			_, err = experiments.FigureN(ctx, opts, spec.Figure)
+		}
+		if err != nil {
+			return err
+		}
+		st := view.Stats()
+		report(progressOf(int(st.Points), st))
+		return nil
 	case KindWhatIf:
 		plan, err := e.whatifPlan(spec)
 		if err != nil {
 			return err
 		}
-		report(PointEvent{Total: plan.Points()})
-		failed, total := 0, plan.Points()
-		var firstErr error
-		for ev := range plan.Stream(ctx, e.opts.Runner) {
-			report(PointEvent{Point: true, Served: ev.Served, Failed: ev.Err != nil})
-			if ev.Err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = ev.Err
-				}
-			}
-		}
-		return streamOutcome(ctx, failed, total, firstErr)
+		return drain(ctx, view, plan.Points(), plan.Stream(ctx, view),
+			func(ev whatif.Event) error { return ev.Err }, report)
 	default:
 		return fmt.Errorf("unknown job kind %q", spec.Kind)
 	}
 }
 
-// streamOutcome folds a streamed batch's tail into the attempt's error:
-// cancellation wins (it describes the caller), then any failed points.
-func streamOutcome(ctx context.Context, failed, total int, firstErr error) error {
+// drain consumes a streamed batch of total points, reporting the view's
+// progress up front and after each point, then folds the batch's tail
+// into the attempt's error: cancellation wins (it describes the
+// caller), then any failed points.
+func drain[E any](ctx context.Context, view *runner.Pool, total int, events <-chan E, errOf func(E) error, report func(Progress)) error {
+	report(progressOf(total, view.Stats()))
+	var firstErr error
+	for ev := range events {
+		report(progressOf(total, view.Stats()))
+		if err := errOf(ev); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d points failed: %w", failed, total, firstErr)
+	if firstErr != nil {
+		return fmt.Errorf("%d of %d points failed: %w", progressOf(total, view.Stats()).Failed, total, firstErr)
 	}
 	return nil
 }
 
-// runFigure regenerates one paper figure under a pool view, then
-// back-fills the progress counters from the view's serving split —
-// figures assemble via batch entry points, so per-point live progress
-// is not available, but the final counters are exact.
-func (e *EngineExecutor) runFigure(ctx context.Context, spec Spec, report func(PointEvent)) error {
-	view := e.opts.Runner.View()
-	opts := e.opts
-	opts.Runner = view
-	var err error
-	if spec.Figure == 8 {
-		_, err = experiments.Fig8Summary(ctx, opts)
-	} else {
-		_, err = experiments.FigureN(ctx, opts, spec.Figure)
+// progressOf derives a job's Progress from its pool view's tally: every
+// dispatched point is done, and the ones no served-from counter claims
+// failed.
+func progressOf(total int, st runner.Stats) Progress {
+	served := st.Simulated + st.MemHits + st.Hits + st.Deduped
+	return Progress{
+		Total: total, Done: int(st.Points), Failed: int(st.Points - served),
+		Simulated: int(st.Simulated), MemHits: int(st.MemHits),
+		DiskHits: int(st.Hits), Deduped: int(st.Deduped),
 	}
-	if err != nil {
-		return err
-	}
-	st := view.Stats()
-	report(PointEvent{Total: int(st.Points)})
-	emit := func(n int64, via runner.Served) {
-		for i := int64(0); i < n; i++ {
-			report(PointEvent{Point: true, Served: via})
-		}
-	}
-	emit(st.Simulated, runner.ServedSim)
-	emit(st.MemHits, runner.ServedMem)
-	emit(st.Hits, runner.ServedDisk)
-	emit(st.Deduped, runner.ServedDedup)
-	return nil
 }
 
 // WriteResult writes the spec's artifact exactly as the synchronous

@@ -111,10 +111,12 @@ type Spec struct {
 	Steps   int    `json:"steps,omitempty"`
 }
 
-// Progress counts a job's execution, fed by the pool's per-point
-// stream events. Counters reset when a retry re-runs the job, so they
-// always describe the attempt in progress. Progress is in-memory only
-// — a recovered job restarts its counters with its re-run.
+// Progress counts a job's execution. Each attempt runs on its own view
+// of the shared pool, and every counter is read from that view's
+// served-from tally (runner.Stats). Counters reset when a retry re-runs
+// the job, so they always describe the attempt in progress. Progress is
+// in-memory only — a recovered job restarts its counters with its
+// re-run.
 type Progress struct {
 	// Total is the planned point count (0 until the plan is expanded,
 	// and for kinds that cannot count points up front).

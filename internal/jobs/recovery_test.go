@@ -42,7 +42,7 @@ func TestCrashRecovery(t *testing.T) {
 	// queued behind MaxRunning=1.
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	blockExec := &fakeExec{run: func(ctx context.Context, spec Spec, report func(PointEvent)) error {
+	blockExec := &fakeExec{run: func(ctx context.Context, spec Spec, report func(Progress)) error {
 		started <- struct{}{}
 		select {
 		case <-release:
@@ -73,9 +73,9 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Second incarnation, same dir: recovery re-enqueues the running
 	// job (exactly once, durably) and keeps the queued one.
-	exec2 := &fakeExec{run: func(ctx context.Context, spec Spec, report func(PointEvent)) error {
-		report(PointEvent{Total: 1})
-		report(PointEvent{Point: true})
+	exec2 := &fakeExec{run: func(ctx context.Context, spec Spec, report func(Progress)) error {
+		report(Progress{Total: 1})
+		report(Progress{Total: 1, Done: 1, Simulated: 1})
 		return nil
 	}}
 	q2, err := Open(dir, Config{Executor: exec2, MaxRunning: 1})
@@ -114,7 +114,7 @@ func TestCrashRecovery(t *testing.T) {
 func TestRecoveryIdempotentAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	block := make(chan struct{})
-	exec := &fakeExec{run: func(ctx context.Context, spec Spec, report func(PointEvent)) error {
+	exec := &fakeExec{run: func(ctx context.Context, spec Spec, report func(Progress)) error {
 		select {
 		case <-block:
 			return nil

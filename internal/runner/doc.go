@@ -29,8 +29,9 @@
 //     memory, then disk, promoting a disk hit into memory; a simulated
 //     point is written to both. A second run of the same experiment set
 //     completes without re-simulating anything; [Pool.Stats] reports
-//     the simulated/mem/disk/deduped split and [Pool.StoreStats] each
-//     tier's traffic.
+//     the simulated/mem/disk/deduped split (the one served-from tally:
+//     the server's cost headers, job progress and /metrics all read
+//     it) and [Pool.StoreStats] each tier's traffic.
 //   - Concurrent lookups of one key are deduplicated in flight
 //     (singleflight), so a pool shared by many concurrent Run calls —
 //     internal/server gives every request a [Pool.View] of one shared

@@ -316,35 +316,27 @@ func (s Served) String() string {
 	}
 }
 
-// counters is the atomic backing store of Stats.
+// counters is the atomic backing store of Stats: every dispatched job,
+// and the successful ones by how they were served.
 type counters struct {
-	points, simulated, memHits, diskHits, deduped atomic.Int64
+	points atomic.Int64
+	served [ServedDedup + 1]atomic.Int64
 }
 
 func (c *counters) add(via Served, ok bool) {
 	c.points.Add(1)
-	if !ok {
-		return
-	}
-	switch via {
-	case ServedSim:
-		c.simulated.Add(1)
-	case ServedMem:
-		c.memHits.Add(1)
-	case ServedDisk:
-		c.diskHits.Add(1)
-	case ServedDedup:
-		c.deduped.Add(1)
+	if ok {
+		c.served[via].Add(1)
 	}
 }
 
 func (c *counters) stats() Stats {
 	return Stats{
 		Points:    c.points.Load(),
-		Simulated: c.simulated.Load(),
-		MemHits:   c.memHits.Load(),
-		Hits:      c.diskHits.Load(),
-		Deduped:   c.deduped.Load(),
+		Simulated: c.served[ServedSim].Load(),
+		MemHits:   c.served[ServedMem].Load(),
+		Hits:      c.served[ServedDisk].Load(),
+		Deduped:   c.served[ServedDedup].Load(),
 	}
 }
 

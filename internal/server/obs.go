@@ -123,12 +123,16 @@ func (s *Server) initObs() {
 		"Simulation points dispatched, by served-from provenance.",
 		func() []obs.Sample {
 			st := s.pool.Stats()
-			return []obs.Sample{
-				{Value: float64(st.Simulated), Labels: []obs.Label{{Key: "served", Val: "simulated"}}},
-				{Value: float64(st.MemHits), Labels: []obs.Label{{Key: "served", Val: "mem"}}},
-				{Value: float64(st.Hits), Labels: []obs.Label{{Key: "served", Val: "disk"}}},
-				{Value: float64(st.Deduped), Labels: []obs.Label{{Key: "served", Val: "dedup"}}},
+			byServed := [...]int64{
+				runner.ServedSim: st.Simulated, runner.ServedMem: st.MemHits,
+				runner.ServedDisk: st.Hits, runner.ServedDedup: st.Deduped,
 			}
+			out := make([]obs.Sample, len(byServed))
+			for via, n := range byServed {
+				out[via] = obs.Sample{Value: float64(n),
+					Labels: []obs.Label{{Key: "served", Val: runner.Served(via).String()}}}
+			}
+			return out
 		})
 	reg.GaugeFunc("petasim_pool_slots_busy",
 		"Simulations holding a pool slot right now.",
@@ -188,13 +192,16 @@ func (s *Server) initObs() {
 	// lifetime rejection/retry counters. All zero-valued families are
 	// still exposed on a queueless server so dashboards need no
 	// existence checks.
+	queueStats := func() jobs.QueueStats {
+		if s.queue == nil {
+			return jobs.QueueStats{}
+		}
+		return s.queue.Stats()
+	}
 	reg.GaugeFunc("petasim_jobs_active",
 		"Jobs currently queued or running, by state.",
 		func() []obs.Sample {
-			var st jobs.QueueStats
-			if s.queue != nil {
-				st = s.queue.Stats()
-			}
+			st := queueStats()
 			return []obs.Sample{
 				{Value: float64(st.Queued), Labels: []obs.Label{{Key: "state", Val: "queued"}}},
 				{Value: float64(st.Running), Labels: []obs.Label{{Key: "state", Val: "running"}}},
@@ -203,10 +210,7 @@ func (s *Server) initObs() {
 	reg.CounterFunc("petasim_jobs_finished_total",
 		"Jobs that reached a terminal state, by outcome.",
 		func() []obs.Sample {
-			var st jobs.QueueStats
-			if s.queue != nil {
-				st = s.queue.Stats()
-			}
+			st := queueStats()
 			return []obs.Sample{
 				{Value: float64(st.Done), Labels: []obs.Label{{Key: "state", Val: "done"}}},
 				{Value: float64(st.Failed), Labels: []obs.Label{{Key: "state", Val: "failed"}}},
@@ -215,27 +219,16 @@ func (s *Server) initObs() {
 		})
 	reg.CounterFunc("petasim_jobs_submitted_total", "Jobs accepted by Submit.",
 		func() []obs.Sample {
-			var st jobs.QueueStats
-			if s.queue != nil {
-				st = s.queue.Stats()
-			}
-			return []obs.Sample{{Value: float64(st.Submitted)}}
+			return []obs.Sample{{Value: float64(queueStats().Submitted)}}
 		})
 	reg.CounterFunc("petasim_jobs_retries_total", "Transient-failure re-runs.",
 		func() []obs.Sample {
-			var st jobs.QueueStats
-			if s.queue != nil {
-				st = s.queue.Stats()
-			}
-			return []obs.Sample{{Value: float64(st.Retries)}}
+			return []obs.Sample{{Value: float64(queueStats().Retries)}}
 		})
 	reg.CounterFunc("petasim_jobs_rejected_total",
 		"Submissions rejected 429, by tripped limit.",
 		func() []obs.Sample {
-			var st jobs.QueueStats
-			if s.queue != nil {
-				st = s.queue.Stats()
-			}
+			st := queueStats()
 			return []obs.Sample{
 				{Value: float64(st.RateLimited), Labels: []obs.Label{{Key: "reason", Val: "rate"}}},
 				{Value: float64(st.QuotaRejected), Labels: []obs.Label{{Key: "reason", Val: "quota"}}},

@@ -164,9 +164,6 @@ func NewWithQueue(opts experiments.Options, q *jobs.Queue) *Server {
 	return s
 }
 
-// Stats returns the shared pool's lifetime totals.
-func (s *Server) Stats() runner.Stats { return s.pool.Stats() }
-
 // ServeHTTP is the observability middleware around the mux: every
 // request gets an ID echoed as X-Petasim-Trace, the simulating routes
 // get a trace carried through the handler's context (published to the

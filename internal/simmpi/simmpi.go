@@ -233,13 +233,3 @@ var activeWorlds atomic.Int64
 
 // ActiveWorlds reports how many simulated worlds are running right now.
 func ActiveWorlds() int64 { return activeWorlds.Load() }
-
-// MustRunContext is RunContext but panics on error; convenient in
-// examples and benches.
-func MustRunContext(ctx context.Context, cfg Config, body func(*Rank)) *Report {
-	rep, err := RunContext(ctx, cfg, body)
-	if err != nil {
-		panic(err)
-	}
-	return rep
-}
