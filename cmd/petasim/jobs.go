@@ -193,8 +193,8 @@ func jobLine(j jobs.Job) string {
 	return b.String()
 }
 
-// get prints one job's full record (the server's JSON body, which
-// embeds the result once the job is done).
+// get prints one job's record — state and progress, the server's JSON
+// body; the artifact itself is `result`.
 func (jc jobsClient) get(ctx context.Context, id string) error {
 	data, err := jc.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil)
 	if err != nil {

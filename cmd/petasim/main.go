@@ -503,13 +503,13 @@ type whatifStreamLine struct {
 func streamWhatif(ctx context.Context, plan *whatif.Plan, pool *runner.Pool, out io.Writer) error {
 	enc := json.NewEncoder(out)
 	failed := 0
-	for ev := range plan.Stream(ctx, pool) {
+	for ev := range pool.Stream(ctx, plan.Jobs()) {
 		line := whatifStreamLine{}
 		if ev.Err != nil {
 			failed++
 			line.Error = ev.Err.Error()
 		} else {
-			pt := ev.Point
+			pt := plan.Point(ev.Index, ev.Result)
 			line.Point = &pt
 			line.Served = ev.Served.String()
 		}

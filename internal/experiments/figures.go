@@ -322,6 +322,28 @@ func FigureN(ctx context.Context, opts Options, n int) (*Figure, error) {
 	return buildPaperFigure(ctx, opts, fmt.Sprintf("Figure %d", n))
 }
 
+// FigureJobs expands paper figure n ∈ 2..8 into its runner jobs, in
+// the order FigureN (Fig8Summary for n = 8) assembles their results.
+// Every one of these figures' JSON artifacts is runner.WriteJSON over
+// the job-ordered results.
+func FigureJobs(opts Options, n int) ([]runner.Job, error) {
+	if n == 8 {
+		return fig8Jobs(opts), nil
+	}
+	if n < 2 || n > 7 {
+		return nil, fmt.Errorf("no figure %d (the engine regenerates figures 2-8)", n)
+	}
+	sf, err := paperFigure(fmt.Sprintf("Figure %d", n))
+	if err != nil {
+		return nil, err
+	}
+	fs, err := sf.spec(opts)
+	if err != nil {
+		return nil, err
+	}
+	return fs.jobs(opts), nil
+}
+
 // figureSpecs resolves Figures 2–7 in order.
 func figureSpecs(opts Options) ([]*figureSpec, error) {
 	specs := make([]*figureSpec, len(paperFigures))

@@ -54,23 +54,15 @@ func fig8ProcsFor(app string, spec machine.Spec, opts Options) int {
 	return maxPartition(spec, base)
 }
 
-// Fig8Summary regenerates the paper's Figure 8. The application rows come
-// from the workload registry in its deterministic (sorted) order; each
-// cell runs the workload's canonical configuration at the paper's largest
-// comparable concurrency.
-func Fig8Summary(ctx context.Context, opts Options) (*Summary, error) {
-	sum := &Summary{Notes: []string{
-		"relative performance normalised to the fastest system per application",
-		"Cactus Phoenix results are on the X1 system; BG/L at P=1024 for Cactus and GTC",
-	}}
-	machines := []machine.Spec{machine.Bassi, machine.Jacquard, machine.Jaguar, machine.BGL, machine.Phoenix}
-	workloads := apps.Workloads()
+// fig8Machines is Figure 8's column order.
+var fig8Machines = []machine.Spec{machine.Bassi, machine.Jacquard, machine.Jaguar, machine.BGL, machine.Phoenix}
 
-	// One job per (application, machine) cell, app-major so the results
-	// slice indexes as workloads × machines.
+// fig8Jobs expands Figure 8 into one job per (application, machine)
+// cell, app-major so the results slice indexes as workloads × machines.
+func fig8Jobs(opts Options) []runner.Job {
 	var jobs []runner.Job
-	for _, w := range workloads {
-		for _, spec := range machines {
+	for _, w := range apps.Workloads() {
+		for _, spec := range fig8Machines {
 			w, spec := w, spec
 			p := fig8ProcsFor(w.Name(), spec, opts)
 			jobs = append(jobs, runner.Job{
@@ -91,16 +83,26 @@ func Fig8Summary(ctx context.Context, opts Options) (*Summary, error) {
 			})
 		}
 	}
-	results, err := opts.pool().Run(ctx, jobs)
+	return jobs
+}
+
+// Fig8Summary regenerates the paper's Figure 8. The application rows come
+// from the workload registry in its deterministic (sorted) order; each
+// cell runs the workload's canonical configuration at the paper's largest
+// comparable concurrency.
+func Fig8Summary(ctx context.Context, opts Options) (*Summary, error) {
+	results, err := opts.pool().Run(ctx, fig8Jobs(opts))
 	if err != nil {
 		return nil, err
 	}
-	sum.Results = results
-	for wi := range workloads {
-		cells := make([]SummaryCell, len(machines))
+	sum := &Summary{Notes: []string{
+		"relative performance normalised to the fastest system per application",
+		"Cactus Phoenix results are on the X1 system; BG/L at P=1024 for Cactus and GTC",
+	}, Results: results}
+	for off := 0; off < len(results); off += len(fig8Machines) {
+		cells := make([]SummaryCell, len(fig8Machines))
 		best := 0.0
-		for mi := range machines {
-			r := results[wi*len(machines)+mi]
+		for mi, r := range results[off : off+len(fig8Machines)] {
 			cells[mi] = SummaryCell{
 				App: r.App, Machine: r.Machine, Procs: r.Procs,
 				Gflops:  r.Gflops,

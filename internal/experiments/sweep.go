@@ -109,32 +109,17 @@ func (p *SweepPlan) Execute(ctx context.Context) ([]*Figure, error) {
 	return buildFigureSpecs(ctx, p.opts, p.specs)
 }
 
-// Points returns how many simulation points the plan will dispatch —
-// the exact number of point events a Stream consumer will see on a run
-// that completes.
-func (p *SweepPlan) Points() int {
-	n := 0
-	for _, fs := range p.specs {
-		n += len(fs.jobs(p.opts))
-	}
-	return n
-}
-
-// Stream simulates the planned cross-product incrementally on the
-// plan's pool, delivering one runner.Event per point in completion
-// order as each finishes — the streaming counterpart of Execute for
-// consumers (the NDJSON endpoint, progress UIs) that cannot wait for
-// the whole batch. The channel closes when every point has been
-// delivered or ctx is cancelled; a consumer that stops reading must
-// cancel ctx. Completion order varies with scheduling; the
-// byte-identical guarantee belongs to Execute, which assembles in job
-// order.
-func (p *SweepPlan) Stream(ctx context.Context) <-chan runner.Event {
+// Jobs expands the planned cross-product into runner jobs in the
+// order Execute assembles them: workload-major, then machine, then
+// concurrency. Streaming consumers (the NDJSON endpoint, job progress)
+// run them through Pool.Stream and take the point count as their
+// length.
+func (p *SweepPlan) Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, fs := range p.specs {
 		jobs = append(jobs, fs.jobs(p.opts)...)
 	}
-	return p.opts.pool().Stream(ctx, jobs)
+	return jobs
 }
 
 // Sweep plans and runs a sweep in one call — the CLI entry point.

@@ -169,8 +169,9 @@ func TestFig1OrderDerivesFromRegistry(t *testing.T) {
 	}
 }
 
-// TestSweepPlanPointsMatchesExecute: the count Stream consumers are
-// promised equals what Execute actually dispatches.
+// TestSweepPlanPointsMatchesExecute: the count streaming consumers are
+// promised (the plan's job count) equals what Execute actually
+// dispatches.
 func TestSweepPlanPointsMatchesExecute(t *testing.T) {
 	pool := &runner.Pool{Workers: 4}
 	opts := Options{Quick: true, Runner: pool}
@@ -178,9 +179,9 @@ func TestSweepPlanPointsMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plan.Points()
+	want := len(plan.Jobs())
 	if want != 2 {
-		t.Fatalf("plan.Points() = %d, want 2", want)
+		t.Fatalf("len(plan.Jobs()) = %d, want 2", want)
 	}
 	if _, err := plan.Execute(context.Background()); err != nil {
 		t.Fatal(err)
@@ -190,26 +191,34 @@ func TestSweepPlanPointsMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestSweepPlanStreamDeliversEveryPoint: the streaming path covers the
-// same cross-product, one event per point, each carrying provenance.
+// TestSweepPlanStreamDeliversEveryPoint: streaming the plan's jobs
+// covers the same cross-product, one event per point, each carrying
+// provenance.
 func TestSweepPlanStreamDeliversEveryPoint(t *testing.T) {
-	opts := Options{Quick: true, Runner: &runner.Pool{Workers: 4}}
-	plan, err := PlanSweep(opts, []string{"gtc"}, []string{"bassi"}, []int{32, 64})
+	pool := &runner.Pool{Workers: 4}
+	plan, err := PlanSweep(Options{Quick: true, Runner: pool}, []string{"gtc"}, []string{"bassi"}, []int{32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
-	for ev := range plan.Stream(context.Background()) {
+	jobs := plan.Jobs()
+	seen := map[int]bool{}
+	for ev := range pool.Stream(context.Background(), jobs) {
 		if ev.Err != nil {
 			t.Fatalf("stream point failed: %v", ev.Err)
 		}
 		if ev.Result.App != "GTC" {
 			t.Fatalf("stream point %+v from the wrong workload", ev.Result)
 		}
-		seen++
+		if ev.Served != runner.ServedSim {
+			t.Fatalf("cold point %d served from %s, want simulated", ev.Index, ev.Served)
+		}
+		if seen[ev.Index] {
+			t.Fatalf("point %d delivered twice", ev.Index)
+		}
+		seen[ev.Index] = true
 	}
-	if seen != plan.Points() {
-		t.Fatalf("%d stream events, plan promised %d", seen, plan.Points())
+	if len(seen) != len(jobs) {
+		t.Fatalf("%d stream events, plan promised %d", len(seen), len(jobs))
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 	"repro/internal/whatif"
 )
 
-// EngineExecutor is the real Executor: it expands job specs into
-// experiment plans and runs them through the shared simulation pool,
-// so every completed point lands in the pool's result store under its
-// content key — which is why WriteResult can regenerate a finished
-// job's artifact byte-identically without re-simulating anything.
+// EngineExecutor is the real Executor: it expands job specs into plans
+// and runs them through the shared simulation pool, so every completed
+// point lands in the pool's result store under its content key — which
+// is why WriteResult can regenerate a finished job's artifact
+// byte-identically without re-simulating anything.
 type EngineExecutor struct {
 	opts experiments.Options
 }
@@ -34,99 +34,94 @@ func NewExecutor(opts experiments.Options) *EngineExecutor {
 	return &EngineExecutor{opts: opts}
 }
 
-// Validate expands the spec into a plan and discards it: every selector
-// error surfaces at submission time, before the job ever queues.
+// Plan is a spec expanded into the points it dispatches and the
+// artifact their results assemble into. Every front end runs the same
+// plan: the synchronous routes run Jobs on a request's pool view and
+// Write the body, the sweep stream streams Jobs, a job attempt streams
+// them with progress, and a done job's result re-runs them on the
+// warm store and Writes.
+type Plan struct {
+	// Jobs are the spec's points in artifact order.
+	Jobs []runner.Job
+	// Write emits the artifact from the results of Jobs, in job order.
+	Write func(w io.Writer, results []runner.Result) error
+}
+
+// Plan is the one place a spec's kind is interpreted: it validates the
+// selectors and expands them into the plan. Sweeps and figures 2–8
+// write their point records as-is; a whatif grid writes its reduced
+// study.
+func (e *EngineExecutor) Plan(spec Spec) (Plan, error) {
+	switch spec.Kind {
+	case KindSweep:
+		plan, err := experiments.PlanSweep(e.opts, spec.Apps, spec.Machines, spec.Procs)
+		if err != nil {
+			return Plan{}, err
+		}
+		return Plan{Jobs: plan.Jobs(), Write: runner.WriteJSON}, nil
+	case KindFigure:
+		jobs, err := experiments.FigureJobs(e.opts, spec.Figure)
+		if err != nil {
+			return Plan{}, err
+		}
+		return Plan{Jobs: jobs, Write: runner.WriteJSON}, nil
+	case KindWhatIf:
+		if len(spec.Apps) != 1 {
+			return Plan{}, fmt.Errorf("whatif needs exactly one app= workload (got %d)", len(spec.Apps))
+		}
+		machines, err := experiments.ResolveMachines(e.opts.Machines, spec.Machines)
+		if err != nil {
+			return Plan{}, err
+		}
+		perturbs, err := whatif.ParsePerturbs(spec.Perturb)
+		if err != nil {
+			return Plan{}, err
+		}
+		plan, err := whatif.NewPlan(spec.Apps[0], machines, spec.Procs, perturbs, spec.Steps)
+		if err != nil {
+			return Plan{}, err
+		}
+		return Plan{Jobs: plan.Jobs(), Write: func(w io.Writer, results []runner.Result) error {
+			return plan.Reduce(results).JSON(w)
+		}}, nil
+	default:
+		return Plan{}, fmt.Errorf("unknown job kind %q (want %s, %s, or %s)", spec.Kind, KindSweep, KindFigure, KindWhatIf)
+	}
+}
+
+// Validate plans the spec and discards the plan: every selector error
+// surfaces at submission time, before the job ever queues.
 func (e *EngineExecutor) Validate(spec Spec) error {
-	switch spec.Kind {
-	case KindSweep:
-		_, err := experiments.PlanSweep(e.opts, spec.Apps, spec.Machines, spec.Procs)
-		return err
-	case KindFigure:
-		if spec.Figure < 2 || spec.Figure > 8 {
-			return fmt.Errorf("no figure %d (the engine regenerates figures 2-8)", spec.Figure)
-		}
-		return nil
-	case KindWhatIf:
-		_, err := e.whatifPlan(spec)
-		return err
-	default:
-		return fmt.Errorf("unknown job kind %q (want %s, %s, or %s)", spec.Kind, KindSweep, KindFigure, KindWhatIf)
-	}
+	_, err := e.Plan(spec)
+	return err
 }
 
-// whatifPlan expands a whatif spec with the synchronous endpoint's
-// exact selector rules.
-func (e *EngineExecutor) whatifPlan(spec Spec) (*whatif.Plan, error) {
-	if len(spec.Apps) != 1 {
-		return nil, fmt.Errorf("whatif needs exactly one app (got %d)", len(spec.Apps))
-	}
-	machines, err := experiments.ResolveMachines(e.opts.Machines, spec.Machines)
-	if err != nil {
-		return nil, err
-	}
-	perturbs, err := whatif.ParsePerturbs(spec.Perturb)
-	if err != nil {
-		return nil, err
-	}
-	return whatif.NewPlan(spec.Apps[0], machines, spec.Procs, perturbs, spec.Steps)
-}
-
-// Run executes the spec on its own view of the shared pool, whatever
-// its kind, and reports Progress snapshots derived from the view's
-// served-from tally: once the plan is expanded, after each streamed
-// point (sweeps and whatif grids stream point-by-point via
-// Pool.Stream), and once a figure is assembled (figures run through
-// batch entry points, so they have no live per-point progress). A
-// failed point does not stop the rest of the batch; the attempt fails
-// afterwards so the queue's retry policy applies.
+// Run streams the spec's plan on its own view of the shared pool,
+// reporting Progress snapshots derived from the view's served-from
+// tally once the plan is expanded and after each point. A failed point
+// does not stop the rest of the batch; the attempt fails afterwards so
+// the queue's retry policy applies.
 func (e *EngineExecutor) Run(ctx context.Context, spec Spec, report func(Progress)) error {
-	view := e.opts.Runner.View()
-	opts := e.opts
-	opts.Runner = view
-	switch spec.Kind {
-	case KindSweep:
-		plan, err := experiments.PlanSweep(opts, spec.Apps, spec.Machines, spec.Procs)
-		if err != nil {
-			return err
-		}
-		return drain(ctx, view, plan.Points(), plan.Stream(ctx),
-			func(ev runner.Event) error { return ev.Err }, report)
-	case KindFigure:
-		var err error
-		if spec.Figure == 8 {
-			_, err = experiments.Fig8Summary(ctx, opts)
-		} else {
-			_, err = experiments.FigureN(ctx, opts, spec.Figure)
-		}
-		if err != nil {
-			return err
-		}
-		st := view.Stats()
-		report(progressOf(int(st.Points), st))
-		return nil
-	case KindWhatIf:
-		plan, err := e.whatifPlan(spec)
-		if err != nil {
-			return err
-		}
-		return drain(ctx, view, plan.Points(), plan.Stream(ctx, view),
-			func(ev whatif.Event) error { return ev.Err }, report)
-	default:
-		return fmt.Errorf("unknown job kind %q", spec.Kind)
+	plan, err := e.Plan(spec)
+	if err != nil {
+		return err
 	}
+	return drain(ctx, e.opts.Runner.View(), plan.Jobs, report)
 }
 
-// drain consumes a streamed batch of total points, reporting the view's
-// progress up front and after each point, then folds the batch's tail
-// into the attempt's error: cancellation wins (it describes the
-// caller), then any failed points.
-func drain[E any](ctx context.Context, view *runner.Pool, total int, events <-chan E, errOf func(E) error, report func(Progress)) error {
+// drain streams jobs on view, reporting the view's progress up front
+// and after each point, then folds the batch's tail into the attempt's
+// error: cancellation wins (it describes the caller), then any failed
+// points.
+func drain(ctx context.Context, view *runner.Pool, jobs []runner.Job, report func(Progress)) error {
+	total := len(jobs)
+	events := view.Stream(ctx, jobs)
 	report(progressOf(total, view.Stats()))
 	var firstErr error
 	for ev := range events {
 		report(progressOf(total, view.Stats()))
-		if err := errOf(ev); err != nil && firstErr == nil {
-			firstErr = err
+		if ev.Err != nil && firstErr == nil {
+			firstErr = ev.Err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -150,51 +145,18 @@ func progressOf(total int, st runner.Stats) Progress {
 	}
 }
 
-// WriteResult writes the spec's artifact exactly as the synchronous
-// endpoint would: the sweep body is the concatenated point records,
-// figures are the figure JSON, whatif the study JSON. For a job that
-// just completed, every point is already in the result store, so this
-// serves without re-simulation.
+// WriteResult re-runs the spec's plan on the shared pool and writes its
+// artifact — byte-identical to the synchronous endpoint's body. For a
+// job that just completed, every point is already in the result store,
+// so this serves without re-simulation.
 func (e *EngineExecutor) WriteResult(ctx context.Context, w io.Writer, spec Spec) error {
-	switch spec.Kind {
-	case KindSweep:
-		plan, err := experiments.PlanSweep(e.opts, spec.Apps, spec.Machines, spec.Procs)
-		if err != nil {
-			return err
-		}
-		figs, err := plan.Execute(ctx)
-		if err != nil {
-			return err
-		}
-		var results []runner.Result
-		for _, fig := range figs {
-			results = append(results, fig.Results...)
-		}
-		return runner.WriteJSON(w, results)
-	case KindFigure:
-		if spec.Figure == 8 {
-			sum, err := experiments.Fig8Summary(ctx, e.opts)
-			if err != nil {
-				return err
-			}
-			return sum.JSON(w)
-		}
-		fig, err := experiments.FigureN(ctx, e.opts, spec.Figure)
-		if err != nil {
-			return err
-		}
-		return fig.JSON(w)
-	case KindWhatIf:
-		plan, err := e.whatifPlan(spec)
-		if err != nil {
-			return err
-		}
-		study, err := plan.Execute(ctx, e.opts.Runner)
-		if err != nil {
-			return err
-		}
-		return study.JSON(w)
-	default:
-		return fmt.Errorf("unknown job kind %q", spec.Kind)
+	plan, err := e.Plan(spec)
+	if err != nil {
+		return err
 	}
+	results, err := e.opts.Runner.Run(ctx, plan.Jobs)
+	if err != nil {
+		return err
+	}
+	return plan.Write(w, results)
 }

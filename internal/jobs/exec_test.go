@@ -21,8 +21,7 @@ func TestDrainDerivesProgressFromTheView(t *testing.T) {
 	ctx := context.Background()
 	view := (&runner.Pool{Workers: 2}).View()
 	var reports []Progress
-	err := drain(ctx, view, len(batch), view.Stream(ctx, batch),
-		func(ev runner.Event) error { return ev.Err }, func(p Progress) { reports = append(reports, p) })
+	err := drain(ctx, view, batch, func(p Progress) { reports = append(reports, p) })
 
 	// The pool's workers start before drain's up-front report, so that
 	// report may already count a point; only its total is fixed.

@@ -92,10 +92,11 @@ const (
 	KindWhatIf = "whatif"
 )
 
-// Spec is the schema-versioned request a job executes — the async
-// twin of the synchronous endpoints' selectors. Exactly one Kind's
-// fields apply; the executor validates the whole spec at submission
-// time so a bad spec is rejected before it is ever queued.
+// Spec is the schema-versioned request a job executes; the synchronous
+// endpoints parse their selectors into one too, so both plan it the
+// same way (EngineExecutor.Plan). Exactly one Kind's fields apply; the
+// executor validates the whole spec at submission time so a bad spec
+// is rejected before it is ever queued.
 type Spec struct {
 	// Kind selects the request shape: sweep, figure, or whatif.
 	Kind string `json:"kind"`
@@ -118,8 +119,7 @@ type Spec struct {
 // in-memory only — a recovered job restarts its counters with its
 // re-run.
 type Progress struct {
-	// Total is the planned point count (0 until the plan is expanded,
-	// and for kinds that cannot count points up front).
+	// Total is the planned point count (0 until the plan is expanded).
 	Total int `json:"total"`
 	// Done counts completed points, failed ones included.
 	Done int `json:"done"`

@@ -42,8 +42,8 @@ func (e *TooBusyError) Error() string {
 
 // Executor runs job specs — the seam between the queue (which owns
 // durability, scheduling, retry, and cancellation) and the experiment
-// engine (which owns simulation). NewExecutor binds the real engine;
-// tests substitute fakes.
+// engine (which owns simulation). NewExecutor binds the real engine,
+// whose Plan the synchronous routes share; tests substitute fakes.
 type Executor interface {
 	// Validate rejects a spec that could never run (unknown workload,
 	// bad selector) — checked at submission so bad jobs never queue.
@@ -57,7 +57,8 @@ type Executor interface {
 	// WriteResult writes the spec's completed artifact to w,
 	// byte-identical to the synchronous endpoint's body for the same
 	// request. For a completed job every point is in the result store,
-	// so this re-executes the plan without re-simulating.
+	// so this re-runs the plan without re-simulating. Only
+	// Queue.WriteResult calls it; reading a job's record never does.
 	WriteResult(ctx context.Context, w io.Writer, spec Spec) error
 }
 

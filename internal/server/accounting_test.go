@@ -17,9 +17,9 @@ import (
 )
 
 // pinnedAccounting is every served-from report of the traffic in
-// TestAccountingPinned, in request order. The root pool's totals also
-// count the artifact each done job's record embeds (regenerated from
-// the store), which is where most of the disk hits come from.
+// TestAccountingPinned, in request order. Polling a job's record reads
+// only its state and progress, so the root pool's totals count exactly
+// the points the requests and job attempts dispatched.
 const pinnedAccounting = `cold sweep X-Petasim-Points: 1
 cold sweep X-Petasim-Simulated: 1
 cold sweep X-Petasim-Mem-Hits: 0
@@ -36,7 +36,7 @@ figure job progress {"total":5,"done":5,"failed":0,"simulated":5,"mem_hits":0,"d
 whatif job progress {"total":3,"done":3,"failed":0,"simulated":3,"mem_hits":0,"disk_hits":0,"deduped":0}
 petasim_points_total{served="simulated"} 12
 petasim_points_total{served="mem"} 4
-petasim_points_total{served="disk"} 13
+petasim_points_total{served="disk"} 1
 petasim_points_total{served="dedup"} 0`
 
 // TestAccountingPinned drives one fixed sequence of synchronous,

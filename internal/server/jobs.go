@@ -18,8 +18,8 @@ import (
 //
 //	POST   /v1/jobs             submit a job → 202 + Location
 //	GET    /v1/jobs             list jobs (state=, kind=, client= filters)
-//	GET    /v1/jobs/{id}        one job's record (+ result once done)
-//	GET    /v1/jobs/{id}/result the raw completed artifact
+//	GET    /v1/jobs/{id}        one job's record: state and progress
+//	GET    /v1/jobs/{id}/result the completed artifact, regenerated from the store
 //	GET    /v1/jobs/{id}/stream NDJSON snapshots until terminal
 //	DELETE /v1/jobs/{id}        cancel
 //
@@ -81,21 +81,13 @@ func writeJobError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeJob emits one job record (optionally with its embedded result)
-// as the response body.
-func writeJob(w http.ResponseWriter, status int, job jobs.Job, result json.RawMessage) {
+// writeJob emits one job record as the response body.
+func writeJob(w http.ResponseWriter, status int, job jobs.Job) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(jobRecord{Job: job, Result: result})
-}
-
-// jobRecord is the job API's response shape: the queue's record plus,
-// for done jobs, the completed artifact inline.
-type jobRecord struct {
-	jobs.Job
-	Result json.RawMessage `json:"result,omitempty"`
+	enc.Encode(job)
 }
 
 func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
@@ -120,7 +112,7 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJob(w, http.StatusAccepted, job, nil)
+	writeJob(w, http.StatusAccepted, job)
 }
 
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
@@ -156,18 +148,7 @@ func (s *Server) handleJobsGet(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, jobs.ErrNotFound)
 		return
 	}
-	var result json.RawMessage
-	if job.State == jobs.StateDone {
-		// Embed the artifact: it regenerates from the warm store, so
-		// this is cheap relative to the sweep it describes. A failure
-		// to regenerate degrades to the bare record rather than hiding
-		// the job.
-		var buf bytes.Buffer
-		if err := s.queue.WriteResult(r.Context(), &buf, job.ID); err == nil {
-			result = buf.Bytes()
-		}
-	}
-	writeJob(w, http.StatusOK, job, result)
+	writeJob(w, http.StatusOK, job)
 }
 
 func (s *Server) handleJobsResult(w http.ResponseWriter, r *http.Request) {
@@ -237,5 +218,5 @@ func (s *Server) handleJobsDelete(w http.ResponseWriter, r *http.Request) {
 		writeJobError(w, err)
 		return
 	}
-	writeJob(w, http.StatusOK, job, nil)
+	writeJob(w, http.StatusOK, job)
 }

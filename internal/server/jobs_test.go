@@ -104,18 +104,12 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 
 	final := pollDone(t, ts, job.ID)
-	var rec struct {
-		jobs.Job
-		Result json.RawMessage `json:"result"`
-	}
+	var rec jobs.Job
 	if err := json.Unmarshal(final, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Progress.Total != 1 || rec.Progress.Done != 1 {
 		t.Fatalf("done job progress %+v", rec.Progress)
-	}
-	if len(rec.Result) == 0 {
-		t.Fatal("done job record carries no embedded result")
 	}
 
 	// The async artifact is byte-identical to the synchronous endpoint's
@@ -126,19 +120,6 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 	if want := cliSweepArtifact(t); !bytes.Equal(artifact, want) {
 		t.Fatalf("job artifact differs from the sync sweep body:\njob:  %s\nsync: %s", artifact, want)
-	}
-	// And the embedded copy matches modulo JSON whitespace handling.
-	var embedded, direct any
-	if err := json.Unmarshal(rec.Result, &embedded); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(artifact, &direct); err != nil {
-		t.Fatal(err)
-	}
-	embJSON, _ := json.Marshal(embedded)
-	dirJSON, _ := json.Marshal(direct)
-	if !bytes.Equal(embJSON, dirJSON) {
-		t.Fatal("embedded result disagrees with /result")
 	}
 
 	// List surfaces the job under its filters.

@@ -1,11 +1,12 @@
 // Package server exposes the experiment engine as a long-running HTTP
-// JSON service — simulation as a service. Every endpoint dispatches
-// through the same registry-driven entry points the CLI uses, and every
-// request runs through a view of one shared runner.Pool, so the
-// service's two-tier result store (in-memory LRU over the on-disk
-// cache) and in-flight deduplication make repeated and concurrent
-// queries cheap: M identical requests simulate each point exactly once,
-// and a warm query never re-simulates at all.
+// JSON service — simulation as a service. Every simulating endpoint
+// parses its selectors into a jobs.Spec and runs the plan the async
+// jobs run (jobs.EngineExecutor.Plan), and every request runs through
+// a view of one shared runner.Pool, so the service's two-tier result
+// store (in-memory LRU over the on-disk cache) and in-flight
+// deduplication make repeated and concurrent queries cheap: M identical
+// requests simulate each point exactly once, and a warm query never
+// re-simulates at all.
 //
 // Endpoints (all responses application/json):
 //
@@ -18,7 +19,7 @@
 //	GET  /v1/figures/{n}      paper figure n ∈ 2..8 (8 is the summary)
 //	POST /v1/jobs             submit an async job (sweep/figure/whatif) → 202
 //	GET  /v1/jobs             list jobs (state=, kind=, client= filters)
-//	GET  /v1/jobs/{id}        job record: state + progress (+ result once done)
+//	GET  /v1/jobs/{id}        job record: state + progress
 //	GET  /v1/jobs/{id}/result the completed artifact, byte-identical to the sync endpoint
 //	GET  /v1/jobs/{id}/stream NDJSON job snapshots until terminal
 //	DELETE /v1/jobs/{id}      cancel (queued: immediate; running: context-cancelled)
@@ -94,13 +95,12 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/whatif"
 )
 
 // Server is the HTTP front end over one shared simulation pool. It
 // implements http.Handler.
 type Server struct {
-	opts     experiments.Options
+	exec     *jobs.EngineExecutor // plans every request kind
 	pool     *runner.Pool
 	machines *machfile.Registry
 	queue    *jobs.Queue // nil when async jobs are not enabled
@@ -136,7 +136,7 @@ func NewWithQueue(opts experiments.Options, q *jobs.Queue) *Server {
 		reg = machfile.NewRegistry()
 		opts.Machines = reg
 	}
-	s := &Server{opts: opts, pool: opts.Runner, machines: reg, queue: q}
+	s := &Server{exec: jobs.NewExecutor(opts), pool: opts.Runner, machines: reg, queue: q}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /v1/machines", s.handleMachines)
@@ -194,16 +194,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.sink.Publish(tr)
 	}
 	s.metrics.observe(route, code, time.Since(start))
-}
-
-// requestOptions clones the options around a per-request view of the
-// shared pool, so the handler can report exactly what this request
-// simulated versus what the warm tiers absorbed.
-func (s *Server) requestOptions() (experiments.Options, *runner.Pool) {
-	view := s.pool.View()
-	opts := s.opts
-	opts.Runner = view
-	return opts, view
 }
 
 // writeError emits the JSON error envelope.
@@ -315,28 +305,37 @@ func (s *Server) handleMachinesPost(w http.ResponseWriter, r *http.Request) {
 	machine.ToJSON(w, spec)
 }
 
-// handleWhatif plans and runs a sensitivity study under the request's
-// context. All validation happens at plan time, so a bad selector is a
-// 400 before anything simulates.
+// serveSpec is every synchronous simulating route after its selectors
+// are parsed: plan the spec (a bad selector is a 400 before anything
+// simulates), run its jobs on a per-request view of the shared pool
+// under the request's context, report what the request cost, and
+// write the artifact.
+func (s *Server) serveSpec(w http.ResponseWriter, r *http.Request, spec jobs.Spec) {
+	plan, err := s.exec.Plan(spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	ctx, cancel, err := requestContext(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	view := s.pool.View()
+	results, err := view.Run(ctx, plan.Jobs)
+	if err != nil {
+		writeRunError(w, err)
+		return
+	}
+	writeStatsHeaders(w, view.Stats())
+	w.Header().Set("Content-Type", "application/json")
+	plan.Write(w, results)
+}
+
 func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	appSel := experiments.SplitList(q.Get("app"))
-	if len(appSel) != 1 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("whatif needs exactly one app= workload (got %d)", len(appSel)))
-		return
-	}
-	machines, err := experiments.ResolveMachines(s.machines, experiments.SplitList(q.Get("machine")))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	procs, err := experiments.ParseProcs(q.Get("procs"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	perturbs, err := whatif.ParsePerturbs(q.Get("perturb"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -348,26 +347,14 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	plan, err := whatif.NewPlan(appSel[0], machines, procs, perturbs, steps)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	_, view := s.requestOptions()
-	study, err := plan.Execute(ctx, view)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	writeStatsHeaders(w, view.Stats())
-	w.Header().Set("Content-Type", "application/json")
-	study.JSON(w)
+	s.serveSpec(w, r, jobs.Spec{
+		Kind:     jobs.KindWhatIf,
+		Apps:     experiments.SplitList(q.Get("app")),
+		Machines: experiments.SplitList(q.Get("machine")),
+		Procs:    procs,
+		Perturb:  q.Get("perturb"),
+		Steps:    steps,
+	})
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -398,54 +385,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	plan, view, ok := s.planFromRequest(w, r)
-	if !ok {
-		return
+	if spec, ok := sweepSpec(w, r); ok {
+		s.serveSpec(w, r, spec)
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	figs, err := plan.Execute(ctx)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	var results []runner.Result
-	for _, fig := range figs {
-		results = append(results, fig.Results...)
-	}
-	writeStatsHeaders(w, view.Stats())
-	w.Header().Set("Content-Type", "application/json")
-	runner.WriteJSON(w, results)
 }
 
-// planFromRequest parses the request's sweep selectors and validates
-// them into a plan over a per-request pool view. On failure it has
-// already written the error response and returns ok=false.
-func (s *Server) planFromRequest(w http.ResponseWriter, r *http.Request) (*experiments.SweepPlan, *runner.Pool, bool) {
+// sweepSpec parses the request's sweep selectors into a job spec. On
+// failure it has already written the error response and returns
+// ok=false.
+func sweepSpec(w http.ResponseWriter, r *http.Request) (jobs.Spec, bool) {
 	if err := r.ParseForm(); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed selectors: %w", err))
-		return nil, nil, false
+		return jobs.Spec{}, false
 	}
-	appNames := experiments.SplitList(r.Form.Get("app"))
-	machineNames := experiments.SplitList(r.Form.Get("machine"))
 	procs, err := experiments.ParseProcs(r.Form.Get("procs"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
+		return jobs.Spec{}, false
 	}
-	opts, view := s.requestOptions()
-	plan, err := experiments.PlanSweep(opts, appNames, machineNames, procs)
-	if err != nil {
-		// Plan errors name unknown workloads/machines or unrunnable
-		// concurrencies — the caller's selectors.
-		writeError(w, http.StatusBadRequest, err)
-		return nil, nil, false
-	}
-	return plan, view, true
+	return jobs.Spec{
+		Kind:     jobs.KindSweep,
+		Apps:     experiments.SplitList(r.Form.Get("app")),
+		Machines: experiments.SplitList(r.Form.Get("machine")),
+		Procs:    procs,
+	}, true
 }
 
 // sweepStreamLine is one NDJSON line of /v1/sweep/stream. Point lines
@@ -460,8 +423,13 @@ type sweepStreamLine struct {
 }
 
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	plan, view, ok := s.planFromRequest(w, r)
+	spec, ok := sweepSpec(w, r)
 	if !ok {
+		return
+	}
+	plan, err := s.exec.Plan(spec)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel, err := requestContext(r)
@@ -472,10 +440,11 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Petasim-Planned-Points", strconv.Itoa(plan.Points()))
+	w.Header().Set("X-Petasim-Planned-Points", strconv.Itoa(len(plan.Jobs)))
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w) // Encode appends the newline NDJSON needs
-	for ev := range plan.Stream(ctx) {
+	view := s.pool.View()
+	for ev := range view.Stream(ctx, plan.Jobs) {
 		line := sweepStreamLine{}
 		if ev.Err != nil {
 			line.Error = ev.Err.Error()
@@ -515,32 +484,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no figure %q (the service regenerates figures 2-8)", r.PathValue("n")))
 		return
 	}
-	ctx, cancel, err := requestContext(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	opts, view := s.requestOptions()
-	if n == 8 {
-		sum, err := experiments.Fig8Summary(ctx, opts)
-		if err != nil {
-			writeRunError(w, err)
-			return
-		}
-		writeStatsHeaders(w, view.Stats())
-		w.Header().Set("Content-Type", "application/json")
-		sum.JSON(w)
-		return
-	}
-	fig, err := experiments.FigureN(ctx, opts, n)
-	if err != nil {
-		writeRunError(w, err)
-		return
-	}
-	writeStatsHeaders(w, view.Stats())
-	w.Header().Set("Content-Type", "application/json")
-	fig.JSON(w)
+	s.serveSpec(w, r, jobs.Spec{Kind: jobs.KindFigure, Figure: n})
 }
 
 // memInfo reports the memory tier's fill level in /v1/stats.

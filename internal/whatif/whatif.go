@@ -186,9 +186,14 @@ type pointSpec struct {
 	deltaPct float64 // signed; 0 for a baseline point
 }
 
+// MaxSteps bounds the grid points per side of a knob's half-range. The
+// grid is built at plan time, machines × procs × (1 + 2·steps·knobs)
+// points, so an unbounded steps selector would let one request
+// allocate without limit before anything else is checked.
+const MaxSteps = 100
+
 // Plan is a validated what-if study, ready to run. Grid expansion and
-// all selector validation happen in NewPlan; Execute and Stream only
-// simulate.
+// all selector validation happen in NewPlan; Execute only simulates.
 type Plan struct {
 	workload apps.Workload
 	machines []machine.Spec
@@ -202,10 +207,10 @@ type Plan struct {
 // against the workload registry; machines must already be resolved
 // specs (built-in or machfile-loaded) — at least one. procs defaults to
 // {64}; steps is the number of grid points per side of each knob's
-// half-range (1 means just ±X%). Every perturbed spec is built and
-// validated here, so a knob that breaks a spec — or a concurrency a
-// shrunken machine cannot hold — is a plan error naming the knob, not a
-// simulation failure.
+// half-range (1 means just ±X%; at most MaxSteps). Every perturbed
+// spec is built and validated here, so a knob that breaks a spec — or
+// a concurrency a shrunken machine cannot hold — is a plan error naming
+// the knob, not a simulation failure.
 func NewPlan(appName string, machines []machine.Spec, procs []int, perturbs []Perturbation, steps int) (*Plan, error) {
 	w, err := apps.Lookup(appName)
 	if err != nil {
@@ -235,6 +240,9 @@ func NewPlan(appName string, machines []machine.Spec, procs []int, perturbs []Pe
 	}
 	if steps < 1 {
 		return nil, fmt.Errorf("whatif: nonpositive steps %d", steps)
+	}
+	if steps > MaxSteps {
+		return nil, fmt.Errorf("whatif: steps %d above the limit of %d", steps, MaxSteps)
 	}
 	plan := &Plan{workload: w, machines: machines, procs: procs, perturbs: perturbs, steps: steps}
 	for _, m := range machines {
@@ -274,18 +282,16 @@ func deltas(pct float64, steps int) []float64 {
 	return out
 }
 
-// Points returns how many simulation points the plan will dispatch.
-func (p *Plan) Points() int { return len(p.points) }
-
 // experiment is the plan's cache-key experiment identifier.
 func (p *Plan) experiment() string { return "WhatIf " + p.workload.Name() }
 
-// jobs expands the grid into runner jobs. Keys hash the experiment, the
+// Jobs expands the grid into runner jobs, one per grid point in the
+// order Reduce expects their results. Keys hash the experiment, the
 // app, the full (perturbed) spec content, and the concurrency — never
 // the knob or delta — so a no-op perturbation shares its baseline's
 // cache entry, and two custom machines sharing a name can never share
 // one.
-func (p *Plan) jobs() []runner.Job {
+func (p *Plan) Jobs() []runner.Job {
 	id := p.experiment()
 	name := p.workload.Name()
 	jobs := make([]runner.Job, len(p.points))
@@ -372,56 +378,27 @@ func (p *Plan) Execute(ctx context.Context, pool *runner.Pool) (*Study, error) {
 	if pool == nil {
 		pool = &runner.Pool{}
 	}
-	results, err := pool.Run(ctx, p.jobs())
+	results, err := pool.Run(ctx, p.Jobs())
 	if err != nil {
 		return nil, err
 	}
-	return p.reduce(results), nil
+	return p.Reduce(results), nil
 }
 
-// Event is one completed grid point from Stream, with the runner's
-// served-from provenance; a failed point carries its own error and the
-// stream keeps going.
-type Event struct {
-	Point  Point         `json:"point"`
-	Served runner.Served `json:"-"`
-	Err    error         `json:"-"`
+// Point tags the result of the grid's i-th job with the perturbation
+// that produced it — how a consumer streaming Jobs through Pool.Stream
+// maps an event's index back to its grid point.
+func (p *Plan) Point(i int, r runner.Result) Point {
+	ps := p.points[i]
+	return Point{Knob: ps.knob, DeltaPct: ps.deltaPct, Result: r}
 }
 
-// Stream simulates the grid incrementally, delivering one Event per
-// point in completion order — the NDJSON form for consumers that want
-// to watch a long grid fill in. The channel closes when every point has
-// been delivered or ctx is cancelled.
-func (p *Plan) Stream(ctx context.Context, pool *runner.Pool) <-chan Event {
-	if pool == nil {
-		pool = &runner.Pool{}
-	}
-	out := make(chan Event)
-	go func() {
-		defer close(out)
-		for ev := range pool.Stream(ctx, p.jobs()) {
-			ps := p.points[ev.Index]
-			e := Event{
-				Point:  Point{Knob: ps.knob, DeltaPct: ps.deltaPct, Result: ev.Result},
-				Served: ev.Served,
-				Err:    ev.Err,
-			}
-			select {
-			case out <- e:
-			case <-ctx.Done():
-			}
-		}
-	}()
-	return out
-}
-
-// reduce folds the job-ordered results into the study.
-func (p *Plan) reduce(results []runner.Result) *Study {
+// Reduce folds the results of Jobs, in job order, into the study.
+func (p *Plan) Reduce(results []runner.Result) *Study {
 	st := &Study{App: p.workload.Name(), Steps: p.steps, Perturbs: p.perturbs}
 	st.Points = make([]Point, len(results))
 	for i, r := range results {
-		ps := p.points[i]
-		st.Points[i] = Point{Knob: ps.knob, DeltaPct: ps.deltaPct, Result: r}
+		st.Points[i] = p.Point(i, r)
 	}
 	st.Tornados = p.tornados(results)
 	st.Frontier = p.frontier(results)

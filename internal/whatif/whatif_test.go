@@ -129,6 +129,29 @@ func TestNewPlanValidates(t *testing.T) {
 	}
 }
 
+// TestNewPlanBoundsSteps: a steps selector past MaxSteps is a plan
+// error, rejected before the grid is built — so an absurd value costs
+// nothing.
+func TestNewPlanBoundsSteps(t *testing.T) {
+	bassi := []machine.Spec{machine.Bassi}
+	if _, err := NewPlan("gtc", bassi, nil, nil, MaxSteps); err != nil {
+		t.Fatalf("steps = MaxSteps rejected: %v", err)
+	}
+	if _, err := NewPlan("gtc", bassi, nil, nil, MaxSteps+1); err == nil {
+		t.Fatal("steps = MaxSteps+1 accepted")
+	}
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		_, err = NewPlan("gtc", bassi, nil, nil, 1_000_000_000)
+	})
+	if err == nil {
+		t.Fatal("steps = 1e9 accepted")
+	}
+	if allocs > 20 {
+		t.Fatalf("rejecting steps = 1e9 made %v allocations; the grid must not be built", allocs)
+	}
+}
+
 func TestPlanPointsCount(t *testing.T) {
 	plan, err := NewPlan("gtc", []machine.Spec{machine.Bassi, machine.Jaguar}, []int{64, 128},
 		[]Perturbation{{Stream, 20}, {Latency, 50}}, 2)
@@ -136,8 +159,8 @@ func TestPlanPointsCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Per (machine, procs): 1 baseline + 2 knobs × 2 steps × 2 sides.
-	if got, want := plan.Points(), 2*2*(1+2*2*2); got != want {
-		t.Fatalf("Points() = %d, want %d", got, want)
+	if got, want := len(plan.Jobs()), 2*2*(1+2*2*2); got != want {
+		t.Fatalf("len(Jobs()) = %d, want %d", got, want)
 	}
 }
 
@@ -160,8 +183,8 @@ func TestExecuteDeterministicAndRanked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Points) != plan.Points() {
-		t.Fatalf("%d points, want %d", len(st.Points), plan.Points())
+	if len(st.Points) != len(plan.Jobs()) {
+		t.Fatalf("%d points, want %d", len(st.Points), len(plan.Jobs()))
 	}
 	if len(st.Tornados) != 2 {
 		t.Fatalf("%d tornados, want 2", len(st.Tornados))
@@ -275,25 +298,35 @@ func TestFrontierDominance(t *testing.T) {
 	}
 }
 
+// TestStreamDeliversEveryPoint: streaming the plan's jobs delivers
+// every grid point once with provenance, and Point maps each event back
+// to its perturbation — exactly one baseline.
 func TestStreamDeliversEveryPoint(t *testing.T) {
 	plan, err := NewPlan("gtc", []machine.Spec{machine.BGL}, []int{64},
 		[]Perturbation{{Latency, 20}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
+	jobs := plan.Jobs()
+	seen := map[int]bool{}
 	baselines := 0
-	for ev := range plan.Stream(context.Background(), &runner.Pool{Workers: 4}) {
+	for ev := range (&runner.Pool{Workers: 4}).Stream(context.Background(), jobs) {
 		if ev.Err != nil {
 			t.Fatal(ev.Err)
 		}
-		if ev.Point.Knob == "" {
+		if ev.Served != runner.ServedSim {
+			t.Fatalf("cold point %d served from %s, want simulated", ev.Index, ev.Served)
+		}
+		if seen[ev.Index] {
+			t.Fatalf("point %d delivered twice", ev.Index)
+		}
+		seen[ev.Index] = true
+		if pt := plan.Point(ev.Index, ev.Result); pt.Knob == "" {
 			baselines++
 		}
-		seen++
 	}
-	if seen != plan.Points() || baselines != 1 {
-		t.Fatalf("streamed %d points (%d baselines), want %d (1)", seen, baselines, plan.Points())
+	if len(seen) != len(jobs) || baselines != 1 {
+		t.Fatalf("streamed %d points (%d baselines), want %d (1)", len(seen), baselines, len(jobs))
 	}
 }
 
