@@ -140,16 +140,17 @@ type State struct {
 	nomSurf float64
 	// nominal cells of the base level.
 	nomBaseCells float64
-	// Cached intersection pair lists, rebuilt after each regrid (the
-	// original's CopyAssoc caching — recomputing them per ghost fill is
-	// exactly the §8.1 inefficiency).
-	pairCache map[pairKey][]amr.Pair
+	// scheds caches this rank's exchange schedules for the current regrid
+	// generation (the original's CopyAssoc caching — recomputing them per
+	// ghost fill is exactly the §8.1 inefficiency). The schedules
+	// themselves are world-level: see schedule.
+	scheds map[pairKey]*schedule
 	// gen counts regrids. All ranks regrid in lockstep, so the counter is
 	// identical across ranks and scopes the world-level metadata memos:
-	// replicated derivations (global tag sets, cluster box lists,
-	// intersection pairs) are computed once per world per generation via
-	// simmpi.Memo instead of once per rank, while each rank still charges
-	// its own modelled cost.
+	// replicated derivations (global tag sets, cluster box lists, knapsack
+	// owner tables, exchange schedules) are computed once per world per
+	// generation via simmpi.Memo instead of once per rank, while each rank
+	// still charges its own modelled cost.
 	gen int
 	// traj, when non-nil, is a recorded trajectory this run replays:
 	// levels carry no patch data and every field-array operation is
@@ -182,8 +183,8 @@ const (
 	pairRecopy                  // old level boxes × new level boxes
 )
 
-// hclawMemoKey scopes a world-level metadata memo (tag sets, box lists,
-// intersection pairs) to the current regrid generation.
+// hclawMemoKey scopes a world-level exchange schedule to the current
+// regrid generation.
 type hclawMemoKey struct {
 	what  pairKind
 	naive bool
@@ -193,39 +194,10 @@ type hclawMemoKey struct {
 
 // regridMemoKey scopes the regrid pipeline's replicated derivations.
 type regridMemoKey struct {
-	what byte // 't' = global tag set, 'b' = clustered box list
+	what byte // 't' = global tag set, 'b' = clustered box list, 'o' = knapsack owners
 	lvl  int
 	gen  int
 }
-
-// cachedIntersect returns the intersection pairs under a cache key,
-// computing and charging them only on the first use since the last
-// regrid. Same-level lists drop their self pairs (box i ∩ grown(i)):
-// copying a patch's interior onto itself is a no-op the exchange loop
-// would otherwise pack in full before discarding. Every rank derives the
-// identical filtered list, so tags stay aligned.
-func (s *State) cachedIntersect(k pairKey, a, b []amr.Box) []amr.Pair {
-	if s.pairCache == nil {
-		s.pairCache = make(map[pairKey][]amr.Pair)
-	}
-	if pairs, ok := s.pairCache[k]; ok {
-		return pairs
-	}
-	pairs := s.intersect(k, a, b)
-	if k.kind == pairSame {
-		trimmed := make([]amr.Pair, 0, len(pairs))
-		for _, pr := range pairs {
-			if pr.A != pr.B {
-				trimmed = append(trimmed, pr)
-			}
-		}
-		pairs = trimmed
-	}
-	s.pairCache[k] = pairs
-	return pairs
-}
-
-func (s *State) invalidatePairCache() { s.pairCache = nil }
 
 // NewState builds the initial hierarchy: a chopped, knapsack-distributed
 // base level covering the domain, then initial refinement levels from
@@ -240,17 +212,14 @@ func newState(r *simmpi.Rank, cfg Config, traj, rec *trajectory) (*State, error)
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &State{cfg: cfg, r: r, traj: traj, rec: rec}
+	s := &State{cfg: cfg, r: r, traj: traj, rec: rec, scheds: make(map[pairKey]*schedule)}
 	actCells := float64(cfg.ActBase[0]) * float64(cfg.ActBase[1]) * float64(cfg.ActBase[2])
 	s.nomBaseCells = float64(cfg.NomBase[0]) * float64(cfg.NomBase[1]) * float64(cfg.NomBase[2])
 	s.nomSurf = math.Pow(s.nomBaseCells/actCells, 2.0/3.0)
 
 	domain := amr.NewBox([3]int{0, 0, 0}, cfg.ActBase)
 	base := amr.ChopAll([]amr.Box{domain}, cfg.MaxBoxCells)
-	l0 := newLevel(0, 1, domain, base, r.N(), cfg.CopyingKnapsack, 1.0/float64(cfg.ActBase[0]))
-	if s.traj == nil {
-		l0.allocate(r.ID())
-	}
+	l0 := s.newLevel(0, 1, domain, base, 1.0/float64(cfg.ActBase[0]))
 	s.levels = []*Level{l0}
 	s.initPatches(l0)
 	s.fillGhosts(0)
@@ -295,32 +264,6 @@ func (s *State) nextTag() int {
 	return s.tag
 }
 
-// intersect dispatches to the configured box-intersection algorithm and
-// charges its nominal cost (§8.1: O(N²) versus hashed O(N log N), with
-// nominal box counts scaled up from the actual hierarchy). The box lists
-// are replicated metadata — identical on every rank — so the actual pair
-// computation runs once per world under key; the modelled cost is still
-// charged by every caller.
-func (s *State) intersect(k pairKey, a, b []amr.Box) []amr.Pair {
-	nomBoxes := s.nominalBoxes(len(a) + len(b))
-	mk := hclawMemoKey{what: k.kind, naive: s.cfg.NaiveIntersect, lvl: k.lvl, gen: s.gen}
-	var ops float64
-	var pairs []amr.Pair
-	if s.cfg.NaiveIntersect {
-		pairs = s.r.Memo(mk, func() any {
-			return amr.IntersectNaive(a, b)
-		}).([]amr.Pair)
-		ops = nomBoxes * nomBoxes
-	} else {
-		pairs = s.r.Memo(mk, func() any {
-			return amr.IntersectHashed(a, b)
-		}).([]amr.Pair)
-		ops = nomBoxes * (1 + math.Log2(math.Max(nomBoxes, 2))) * 4
-	}
-	s.r.Compute(RegridKernel, ops*12)
-	return pairs
-}
-
 // nominalBoxes scales an actual box count to the nominal hierarchy.
 func (s *State) nominalBoxes(actual int) float64 {
 	actCells := float64(s.cfg.ActBase[0]) * float64(s.cfg.ActBase[1]) * float64(s.cfg.ActBase[2])
@@ -332,34 +275,23 @@ func (s *State) nominalBoxes(actual int) float64 {
 	return float64(actual) * boxRatio
 }
 
-// exchangePairs performs the point-to-point copies for a list of overlap
-// pairs: for pair (src box of level ls, dst region on level ld). pack
-// extracts data from the source patch; apply stores received data at the
-// destination. Every rank walks the identical pair list, so tags line up
-// without negotiation (replicated-metadata style, as in BoxLib).
-func (s *State) exchangePairs(pairs []amr.Pair, srcOwner, dstOwner []int,
+// exchangePairs performs the point-to-point copies of one schedule: for
+// pair (src box A, dst region on box B), pack extracts data from the
+// source patch and apply stores received data at the destination. Every
+// rank advances the tag counter past the whole pair list, so tags line
+// up without negotiation (replicated-metadata style, as in BoxLib), but
+// walks only its own pairs.
+//
+// A replay run has no patch data: the payload of every pair is
+// NFields·|overlap| values — pure box metadata — so its messages fly with
+// nil bodies and the identical nominal byte counts, and pack and apply
+// never run.
+func (s *State) exchangePairs(sc *schedule,
 	pack func(pair amr.Pair) []float64, apply func(pair amr.Pair, data []float64)) {
 
 	me := s.r.ID()
 	baseTag := s.tag
-	s.tag += len(pairs)
-	if s.traj != nil {
-		// Replay: the payload of every pair is NFields·|overlap| values —
-		// pure box metadata — so the messages fly with nil bodies and the
-		// identical nominal byte counts, and pack/apply never run.
-		for i, pr := range pairs {
-			if srcOwner[pr.A] == me && dstOwner[pr.B] != me {
-				s.r.SendOwnedNominal(dstOwner[pr.B], baseTag+i+1, nil,
-					float64(NFields*pr.Overlap.Size()*8)*s.nomSurf)
-			}
-		}
-		for i, pr := range pairs {
-			if dstOwner[pr.B] == me && srcOwner[pr.A] != me {
-				s.r.Recv(srcOwner[pr.A], baseTag+i+1)
-			}
-		}
-		return
-	}
+	s.tag += len(sc.pairs)
 	// Like the original's nonblocking FillBoundary, all sends are posted
 	// before any receive is waited on; interleaving them would serialise
 	// the exchange in virtual time across the whole pair list.
@@ -369,30 +301,39 @@ func (s *State) exchangePairs(pairs []amr.Pair, srcOwner, dstOwner []int,
 	// received buffers are freed here, sent buffers transfer ownership to
 	// the receiver (who frees them in its own loop). No apply callback
 	// retains its data argument.
-	for i, pr := range pairs {
-		so, do := srcOwner[pr.A], dstOwner[pr.B]
-		switch {
-		case so == me && do == me:
-			data := pack(pr)
-			apply(pr, data)
-			s.r.FreeBuf(data)
-		case so == me:
+	for _, i := range sc.outOf(me) {
+		pr := sc.pairs[i]
+		var data []float64
+		if s.traj == nil {
+			data = pack(pr)
+		}
+		if do := sc.dst[pr.B]; do != me {
 			// pack builds a fresh or pooled buffer per pair, so ownership
 			// can transfer to the receiver without a defensive copy. Every
 			// pack produces exactly NFields·|overlap| values; charging from
 			// the metadata keeps full and replay runs byte-identical.
-			data := pack(pr)
-			s.r.SendOwnedNominal(do, baseTag+i+1, data,
+			s.r.SendOwnedNominal(do, baseTag+int(i)+1, data,
 				float64(NFields*pr.Overlap.Size()*8)*s.nomSurf)
-		}
-	}
-	for i, pr := range pairs {
-		so, do := srcOwner[pr.A], dstOwner[pr.B]
-		if do == me && so != me {
-			data := s.r.Recv(so, baseTag+i+1)
+		} else if s.traj == nil {
 			apply(pr, data)
 			s.r.FreeBuf(data)
 		}
+	}
+	for _, i := range sc.inOf(me) {
+		pr := sc.pairs[i]
+		data := s.r.Recv(sc.src[pr.A], baseTag+int(i)+1)
+		if s.traj == nil {
+			apply(pr, data)
+			s.r.FreeBuf(data)
+		}
+	}
+}
+
+// packFrom returns a pack callback copying a pair's overlap out of the
+// level's source patch into a pooled buffer.
+func (s *State) packFrom(l *Level) func(amr.Pair) []float64 {
+	return func(pr amr.Pair) []float64 {
+		return l.Patch[pr.A].PackRegionInto(pr.Overlap, s.r.GetBuf(NFields*pr.Overlap.Size()))
 	}
 }
 
@@ -406,20 +347,19 @@ func (s *State) fillGhosts(li int) {
 		coarse := s.levels[li-1]
 		// Ghost-region prolongation pairs: coarse boxes × coarsened
 		// ghost boxes of fine patches.
-		ghostBoxes := make([]amr.Box, len(l.Boxes))
-		for i, b := range l.Boxes {
-			g, ok := b.Grow(ghostWidth).Intersect(l.Domain)
-			if !ok {
-				g = b
-			}
-			ghostBoxes[i] = g.Coarsen(l.Ratio)
-		}
-		pairs := s.cachedIntersect(pairKey{pairProlong, li}, coarse.Boxes, ghostBoxes)
-		s.exchangePairs(pairs, coarse.Owner, l.Owner,
-			func(pr amr.Pair) []float64 {
-				return coarse.Patch[pr.A].PackRegionInto(pr.Overlap,
-					s.r.GetBuf(NFields*pr.Overlap.Size()))
-			},
+		sc := s.schedule(pairKey{pairProlong, li}, len(coarse.Boxes), len(l.Boxes),
+			func() ([]amr.Box, []amr.Box, []int, []int) {
+				ghostBoxes := make([]amr.Box, len(l.Boxes))
+				for i, b := range l.Boxes {
+					g, ok := b.Grow(ghostWidth).Intersect(l.Domain)
+					if !ok {
+						g = b
+					}
+					ghostBoxes[i] = g.Coarsen(l.Ratio)
+				}
+				return coarse.Boxes, ghostBoxes, coarse.Owner, l.Owner
+			})
+		s.exchangePairs(sc, s.packFrom(coarse),
 			func(pr amr.Pair, data []float64) {
 				fineRegion, ok := pr.Overlap.Refine(l.Ratio).Intersect(l.Boxes[pr.B].Grow(ghostWidth))
 				if !ok {
@@ -428,19 +368,18 @@ func (s *State) fillGhosts(li int) {
 				prolongate(l.Patch[pr.B], fineRegion, pr.Overlap, data, l.Ratio, true)
 			})
 	}
-	// Same-level copies: source interiors into destination ghosts.
-	grown := make([]amr.Box, len(l.Boxes))
-	for i, b := range l.Boxes {
-		grown[i] = b.Grow(ghostWidth)
-	}
-	// Self pairs (a box's interior onto itself) are filtered out of the
-	// cached list, so every remaining pair moves real data.
-	pairs := s.cachedIntersect(pairKey{pairSame, li}, l.Boxes, grown)
-	s.exchangePairs(pairs, l.Owner, l.Owner,
-		func(pr amr.Pair) []float64 {
-			return l.Patch[pr.A].PackRegionInto(pr.Overlap,
-				s.r.GetBuf(NFields*pr.Overlap.Size()))
-		},
+	// Same-level copies: source interiors into destination ghosts. Self
+	// pairs (a box's interior onto itself) are filtered out of the
+	// schedule, so every remaining pair moves real data.
+	sc := s.schedule(pairKey{pairSame, li}, len(l.Boxes), len(l.Boxes),
+		func() ([]amr.Box, []amr.Box, []int, []int) {
+			grown := make([]amr.Box, len(l.Boxes))
+			for i, b := range l.Boxes {
+				grown[i] = b.Grow(ghostWidth)
+			}
+			return l.Boxes, grown, l.Owner, l.Owner
+		})
+	s.exchangePairs(sc, s.packFrom(l),
 		func(pr amr.Pair, data []float64) {
 			l.Patch[pr.B].UnpackRegion(pr.Overlap, data)
 		})
@@ -464,13 +403,16 @@ func (s *State) averageDown() {
 	for li := len(s.levels) - 1; li >= 1; li-- {
 		fine := s.levels[li]
 		coarse := s.levels[li-1]
-		coarsened := make([]amr.Box, len(fine.Boxes))
-		for i, b := range fine.Boxes {
-			coarsened[i] = b.Coarsen(fine.Ratio)
-		}
-		pairs := s.cachedIntersect(pairKey{pairAvg, li}, coarsened, coarse.Boxes)
 		// Here A indexes fine boxes (coarsened) and B coarse boxes.
-		s.exchangePairs(pairs, fine.Owner, coarse.Owner,
+		sc := s.schedule(pairKey{pairAvg, li}, len(fine.Boxes), len(coarse.Boxes),
+			func() ([]amr.Box, []amr.Box, []int, []int) {
+				coarsened := make([]amr.Box, len(fine.Boxes))
+				for i, b := range fine.Boxes {
+					coarsened[i] = b.Coarsen(fine.Ratio)
+				}
+				return coarsened, coarse.Boxes, fine.Owner, coarse.Owner
+			})
+		s.exchangePairs(sc,
 			func(pr amr.Pair) []float64 {
 				return restrictRegionInto(fine.Patch[pr.A], pr.Overlap, fine.Ratio,
 					s.r.GetBuf(NFields*pr.Overlap.Size()))
@@ -488,6 +430,7 @@ func (s *State) averageDown() {
 func (s *State) regrid() {
 	t0 := s.r.Now()
 	s.gen++
+	clear(s.scheds)
 	nLevelsWanted := len(s.cfg.Ratios) + 1
 	// Rebuild from the finest existing coarse level.
 	for li := 1; li < nLevelsWanted; li++ {
@@ -592,23 +535,18 @@ func (s *State) regrid() {
 			s.r.Compute(RegridKernel, nomBoxes*(1+math.Log2(math.Max(nomBoxes, 2)))*6)
 		}
 		domain := parent.Domain.Refine(ratio)
-		lvl := newLevel(li, ratio, domain, newBoxes, s.r.N(), s.cfg.CopyingKnapsack,
-			parent.H/float64(ratio))
-		if s.traj == nil {
-			lvl.allocate(s.r.ID())
-		}
+		lvl := s.newLevel(li, ratio, domain, newBoxes, parent.H/float64(ratio))
 		// Fill new patches: prolongation from the parent everywhere,
 		// then overwrite with old same-level data where it exists.
-		coarsened := make([]amr.Box, len(newBoxes))
-		for i, b := range newBoxes {
-			coarsened[i] = b.Coarsen(ratio)
-		}
-		pairs := s.intersect(pairKey{pairSeed, li}, parent.Boxes, coarsened)
-		s.exchangePairs(pairs, parent.Owner, lvl.Owner,
-			func(pr amr.Pair) []float64 {
-				return parent.Patch[pr.A].PackRegionInto(pr.Overlap,
-					s.r.GetBuf(NFields*pr.Overlap.Size()))
-			},
+		sc := s.schedule(pairKey{pairSeed, li}, len(parent.Boxes), len(newBoxes),
+			func() ([]amr.Box, []amr.Box, []int, []int) {
+				coarsened := make([]amr.Box, len(newBoxes))
+				for i, b := range newBoxes {
+					coarsened[i] = b.Coarsen(ratio)
+				}
+				return parent.Boxes, coarsened, parent.Owner, lvl.Owner
+			})
+		s.exchangePairs(sc, s.packFrom(parent),
 			func(pr amr.Pair, data []float64) {
 				fineRegion := pr.Overlap.Refine(ratio)
 				if ov, ok := fineRegion.Intersect(lvl.Boxes[pr.B]); ok {
@@ -617,12 +555,11 @@ func (s *State) regrid() {
 			})
 		if li < len(s.levels) {
 			old := s.levels[li]
-			pairs := s.intersect(pairKey{pairRecopy, li}, old.Boxes, newBoxes)
-			s.exchangePairs(pairs, old.Owner, lvl.Owner,
-				func(pr amr.Pair) []float64 {
-					return old.Patch[pr.A].PackRegionInto(pr.Overlap,
-						s.r.GetBuf(NFields*pr.Overlap.Size()))
-				},
+			sc := s.schedule(pairKey{pairRecopy, li}, len(old.Boxes), len(newBoxes),
+				func() ([]amr.Box, []amr.Box, []int, []int) {
+					return old.Boxes, newBoxes, old.Owner, lvl.Owner
+				})
+			s.exchangePairs(sc, s.packFrom(old),
 				func(pr amr.Pair, data []float64) {
 					lvl.Patch[pr.B].UnpackRegion(pr.Overlap, data)
 				})
@@ -631,7 +568,6 @@ func (s *State) regrid() {
 			s.levels = append(s.levels, lvl)
 		}
 	}
-	s.invalidatePairCache()
 	s.r.AddPhase("regrid", s.r.Now()-t0)
 }
 
@@ -677,7 +613,7 @@ func (s *State) Step() {
 			}
 			// Charge one sweep at nominal scale: actual cell share
 			// scaled up to the nominal hierarchy.
-			nomCells := float64(l.LocalCells(s.r.ID())) * s.nomBaseCells / actBase
+			nomCells := float64(l.localCells) * s.nomBaseCells / actBase
 			s.r.Compute(GodunovKernel, nomCells*GodunovFlopsPerCell/3)
 		}
 		s.r.AddPhase("godunov", s.r.Now()-t0)

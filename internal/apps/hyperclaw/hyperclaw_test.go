@@ -3,6 +3,7 @@ package hyperclaw
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/amr"
@@ -319,37 +320,96 @@ func TestManyCommunicatingPartners(t *testing.T) {
 // exactly the Report a full-physics run produces. A run on Bassi records
 // the trajectory; the Jaguar run then replays it; resetting the cache
 // and re-running Jaguar full-physics must match the replayed Report in
-// every field.
+// every field. At P=64 the run includes a regrid that replaces existing
+// levels, and every exchange schedule kind has pairs that cross ranks.
 func TestTrajectoryReplayBitIdentical(t *testing.T) {
-	cfg := DefaultConfig(8)
-	cfg.Steps = 3
-	run := func(spec machine.Spec) *simmpi.Report {
-		rep, err := Run(context.Background(), simmpi.Config{Machine: spec, Procs: 8}, cfg)
-		if err != nil {
-			t.Fatal(err)
+	small := DefaultConfig(8)
+	small.Steps = 3
+	// The P=64 case refines by 2 twice instead of 2 then 4, which keeps
+	// its four runs near a second and a half.
+	wide := DefaultConfig(64)
+	wide.Steps = 3
+	wide.Ratios = []int{2, 2}
+	for _, c := range []struct {
+		procs int
+		cfg   Config
+	}{{8, small}, {64, wide}} {
+		procs, cfg := c.procs, c.cfg
+		run := func(spec machine.Spec) *simmpi.Report {
+			rep, err := Run(context.Background(), simmpi.Config{Machine: spec, Procs: procs}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
 		}
-		return rep
+		ResetTrajectoryCache()
+		run(machine.Bassi) // records
+		if procs == 64 {
+			checkCrossRankKinds(t, cfg, procs)
+		}
+		replayed := run(machine.Jaguar) // replays
+		ResetTrajectoryCache()
+		fresh := run(machine.Jaguar) // records from scratch
+		if replayed.Wall != fresh.Wall ||
+			replayed.TotalFlops != fresh.TotalFlops ||
+			replayed.CommFrac != fresh.CommFrac ||
+			replayed.MaxCommFrac != fresh.MaxCommFrac ||
+			replayed.BytesSent != fresh.BytesSent ||
+			replayed.Messages != fresh.Messages ||
+			replayed.LoadImbalance != fresh.LoadImbalance {
+			t.Fatalf("P=%d: replayed report diverges from full run:\nreplay: %+v\nfresh:  %+v", procs, replayed, fresh)
+		}
+		if len(replayed.Phases) != len(fresh.Phases) {
+			t.Fatalf("P=%d: phase sets differ: %v vs %v", procs, replayed.Phases, fresh.Phases)
+		}
+		for name, v := range fresh.Phases {
+			if replayed.Phases[name] != v {
+				t.Fatalf("P=%d: phase %q: replay %v, fresh %v", procs, name, replayed.Phases[name], v)
+			}
+		}
 	}
-	ResetTrajectoryCache()
-	run(machine.Bassi)              // records
-	replayed := run(machine.Jaguar) // replays
-	ResetTrajectoryCache()
-	fresh := run(machine.Jaguar) // records from scratch
-	if replayed.Wall != fresh.Wall ||
-		replayed.TotalFlops != fresh.TotalFlops ||
-		replayed.CommFrac != fresh.CommFrac ||
-		replayed.MaxCommFrac != fresh.MaxCommFrac ||
-		replayed.BytesSent != fresh.BytesSent ||
-		replayed.Messages != fresh.Messages ||
-		replayed.LoadImbalance != fresh.LoadImbalance {
-		t.Fatalf("replayed report diverges from full run:\nreplay: %+v\nfresh:  %+v", replayed, fresh)
+}
+
+// checkCrossRankKinds replays the recorded trajectory at (cfg, procs)
+// and fails unless every exchange schedule kind received a message on
+// some rank, so the replay comparison covers all five kinds. Each rank
+// inspects its own schedules after setup and after every step: a regrid
+// clears the rank's cache, and the seed and recopy schedules live only
+// until the next one.
+func checkCrossRankKinds(t *testing.T, cfg Config, procs int) {
+	t.Helper()
+	traj, rec := acquireTrajectory(context.Background(), trajKey(cfg, procs))
+	if traj == nil || rec != nil {
+		t.Fatal("no recorded trajectory to replay")
 	}
-	if len(replayed.Phases) != len(fresh.Phases) {
-		t.Fatalf("phase sets differ: %v vs %v", replayed.Phases, fresh.Phases)
+	var mu sync.Mutex
+	seen := map[pairKind]bool{}
+	_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: procs}, func(r *simmpi.Rank) {
+		st, err := newState(r, cfg, traj, nil)
+		if err != nil {
+			panic(err)
+		}
+		note := func() {
+			mu.Lock()
+			defer mu.Unlock()
+			for k, sc := range st.scheds {
+				if len(sc.inOf(r.ID())) > 0 {
+					seen[k.kind] = true
+				}
+			}
+		}
+		note()
+		for i := 0; i < cfg.Steps; i++ {
+			st.Step()
+			note()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, v := range fresh.Phases {
-		if replayed.Phases[name] != v {
-			t.Fatalf("phase %q: replay %v, fresh %v", name, replayed.Phases[name], v)
+	for kind := pairProlong; kind <= pairRecopy; kind++ {
+		if !seen[kind] {
+			t.Errorf("P=%d: schedule kind %d never crosses ranks", procs, kind)
 		}
 	}
 }

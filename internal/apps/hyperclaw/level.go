@@ -25,46 +25,39 @@ type Level struct {
 	Owner  []int
 	Patch  map[int]*Patch // box index → data (owned boxes only)
 	H      float64        // cell width
+	// localCells is the cell count of this rank's boxes, fixed when the
+	// level is built (the Godunov sweeps charge it every step).
+	localCells int
 }
 
-// newLevel builds a level with the given box list, distributing boxes by
-// the knapsack balancer.
-func newLevel(idx, ratio int, domain amr.Box, boxes []amr.Box, nprocs int, copying bool, h float64) *Level {
-	w := amr.BoxWeights(boxes)
-	var owner amr.Assignment
-	if copying {
-		owner = amr.KnapsackCopying(w, nprocs)
-	} else {
-		owner = amr.KnapsackPointer(w, nprocs)
-	}
-	return &Level{
+// newLevel builds level idx over boxes, distributing them by the
+// knapsack balancer, and allocates this rank's patches (none in a replay
+// run). The owner table is replicated metadata, so it is computed once
+// per world per regrid generation and shared read-only.
+func (s *State) newLevel(idx, ratio int, domain amr.Box, boxes []amr.Box, h float64) *Level {
+	owner := s.r.Memo(regridMemoKey{'o', idx, s.gen}, func() any {
+		w := amr.BoxWeights(boxes)
+		if s.cfg.CopyingKnapsack {
+			return amr.KnapsackCopying(w, s.r.N())
+		}
+		return amr.KnapsackPointer(w, s.r.N())
+	}).(amr.Assignment)
+	l := &Level{
 		Index: idx, Ratio: ratio, Domain: domain,
 		Boxes: boxes, Owner: owner,
 		Patch: make(map[int]*Patch), H: h,
 	}
-}
-
-// allocate creates empty patches for this rank's boxes.
-func (l *Level) allocate(me int) {
-	for i, o := range l.Owner {
-		if o == me {
-			l.Patch[i] = NewPatch(l.Boxes[i])
+	me := s.r.ID()
+	for i, o := range owner {
+		if o != me {
+			continue
+		}
+		l.localCells += boxes[i].Size()
+		if s.traj == nil {
+			l.Patch[i] = NewPatch(boxes[i])
 		}
 	}
-}
-
-// CellCount returns the total cells of the level's box list.
-func (l *Level) CellCount() int { return amr.TotalCells(l.Boxes) }
-
-// LocalCells returns the cells owned by rank me.
-func (l *Level) LocalCells(me int) int {
-	n := 0
-	for i, o := range l.Owner {
-		if o == me {
-			n += l.Boxes[i].Size()
-		}
-	}
-	return n
+	return l
 }
 
 // applyDomainBC fills a patch's ghost cells that lie outside the level

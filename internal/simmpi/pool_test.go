@@ -75,3 +75,52 @@ func TestRetainedBufferNeverAliasedAcrossWorlds(t *testing.T) {
 		}
 	}
 }
+
+// TestUndeliveredMessagesNeverReachTheNextWorld ends a world with several
+// messages still queued on one (source, tag) key and one alone on another
+// key. The pooled world that runs next must see an empty mailbox: its own
+// message on the same key is the first one delivered, and once it is
+// received no key is left.
+func TestUndeliveredMessagesNeverReachTheNextWorld(t *testing.T) {
+	reused := 0
+	for round := 0; round < 10; round++ {
+		var first *World
+		_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
+			if r.ID() == 0 {
+				first = r.w
+				for v := 1; v <= 3; v++ {
+					r.Send(1, 7, []float64{float64(v)})
+				}
+				r.Send(1, 8, []float64{4})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunContext(context.Background(), testCfg(2), func(r *Rank) {
+			if r.ID() == 0 {
+				if r.w == first {
+					reused++
+				}
+				r.Send(1, 7, []float64{42})
+				return
+			}
+			if got := r.Recv(0, 7); got[0] != 42 {
+				t.Errorf("round %d: received stale message %v, want 42", round, got[0])
+			}
+			mb := &r.w.mail[1]
+			mb.mu.Lock()
+			n := len(mb.q)
+			mb.mu.Unlock()
+			if n != 0 {
+				t.Errorf("round %d: mailbox holds %d keys after its only message", round, n)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no round reused the pooled world; the test checked nothing")
+	}
+}

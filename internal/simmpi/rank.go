@@ -167,10 +167,12 @@ func (r *Rank) Recv(src, tag int) []float64 {
 			msg := q.pop()
 			if q.empty() {
 				// Recycle drained queues eagerly: halo exchanges use
-				// monotone tags, so most (src, tag) keys carry exactly one
-				// message and would otherwise pin a fresh msgq until world
-				// teardown. Deleting the key keeps the map's buckets for
-				// reuse; a steady key (ping-pong) re-inserts allocation-free.
+				// monotone tags, so (src, tag) keys almost always carry
+				// exactly one message (every key does in `petasim -quick
+				// -max 64 all`) and would otherwise pin a fresh msgq until
+				// world teardown. Deleting the key keeps the map's buckets
+				// for reuse; a steady key (ping-pong) re-inserts
+				// allocation-free.
 				delete(mb.q, k)
 				w.putMsgq(q)
 			}
