@@ -94,6 +94,10 @@ func runBench(ctx context.Context, cli cliConfig, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "vs %s:\n", against)
+	fmt.Fprintf(out, "  baseline host: %s\n  this host:     %s\n", old.Host(), rec.Host())
+	if old.Host() != rec.Host() {
+		fmt.Fprintln(out, "  warning: the hosts differ, so ns/op deltas measure the host as well as the code")
+	}
 	benchtraj.RenderDeltas(out, deltas)
 	if regs := benchtraj.Regressions(deltas); cli.gate && len(regs) > 0 {
 		return fmt.Errorf("bench: %d benchmark(s) regressed past threshold against %s", len(regs), against)

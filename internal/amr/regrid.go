@@ -14,12 +14,6 @@ func NewTagSet() TagSet { return make(TagSet) }
 // Add tags one cell.
 func (t TagSet) Add(i, j, k int) { t[[3]int{i, j, k}] = struct{}{} }
 
-// Has reports whether a cell is tagged.
-func (t TagSet) Has(i, j, k int) bool {
-	_, ok := t[[3]int{i, j, k}]
-	return ok
-}
-
 // Len returns the number of tagged cells.
 func (t TagSet) Len() int { return len(t) }
 

@@ -103,7 +103,7 @@ func TestPatchPackUnpackRoundTrip(t *testing.T) {
 		return q
 	})
 	region := b
-	data := p.PackRegion(region)
+	data := p.PackRegionInto(region, make([]float64, 0, NFields*region.Size()))
 	q := NewPatch(b)
 	q.UnpackRegion(region, data)
 	for f := 0; f < NFields; f++ {

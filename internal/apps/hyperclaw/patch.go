@@ -68,16 +68,11 @@ func (p *Patch) Fill(fn func(i, j, k int) [NFields]float64) {
 	}
 }
 
-// PackRegion serialises the patch's values over region (which must lie in
-// the patch's ghost-inclusive bounds) field-major. Rows along x are
+// PackRegionInto serialises the patch's values over region (which must
+// lie in the patch's ghost-inclusive bounds) field-major, appending into
+// a caller-supplied buffer (typically a pooled simmpi payload buffer),
+// which must be empty with sufficient capacity. Rows along x are
 // contiguous in the patch layout, so each is copied as a block.
-func (p *Patch) PackRegion(region amr.Box) []float64 {
-	return p.PackRegionInto(region, make([]float64, 0, NFields*region.Size()))
-}
-
-// PackRegionInto is PackRegion appending into a caller-supplied buffer
-// (typically a pooled simmpi payload buffer), which must be empty with
-// sufficient capacity.
 func (p *Patch) PackRegionInto(region amr.Box, out []float64) []float64 {
 	nx := region.Hi[0] - region.Lo[0]
 	for f := 0; f < NFields; f++ {
@@ -92,7 +87,7 @@ func (p *Patch) PackRegionInto(region amr.Box, out []float64) []float64 {
 }
 
 // UnpackRegion writes serialised values into the patch over region,
-// row-blocked like PackRegion.
+// row-blocked like PackRegionInto.
 func (p *Patch) UnpackRegion(region amr.Box, data []float64) {
 	nx := region.Hi[0] - region.Lo[0]
 	idx := 0

@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strconv"
 )
 
@@ -66,6 +65,13 @@ type Record struct {
 	Benchtime  string      `json:"benchtime,omitempty"`
 	Headline   Headline    `json:"headline"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+}
+
+// Host describes the host the record was measured on — GOMAXPROCS,
+// platform and Go version — the facts that make two records' ns/op
+// comparable.
+func (r *Record) Host() string {
+	return fmt.Sprintf("GOMAXPROCS=%d %s/%s %s", r.GOMAXPROCS, r.GOOS, r.GOARCH, r.GoVersion)
 }
 
 // Lookup returns the named benchmark, if present.
@@ -129,25 +135,4 @@ func Newest(dir string) (string, error) {
 		best, bestPR = filepath.Join(dir, e.Name()), pr
 	}
 	return best, nil
-}
-
-// Trajectory loads every BENCH_*.json in dir, sorted by PR number — the
-// full recorded history, for rendering or tooling.
-func Trajectory(dir string) ([]*Record, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("benchtraj: %w", err)
-	}
-	var out []*Record
-	for _, e := range entries {
-		if benchFilePat.MatchString(e.Name()) {
-			r, err := ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PR < out[j].PR })
-	return out, nil
 }

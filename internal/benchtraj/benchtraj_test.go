@@ -4,7 +4,6 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +113,21 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHostNamesComparabilityFacts: the host line `petasim bench` prints
+// above a comparison carries every field that makes ns/op comparable,
+// so records from two different hosts never render the same line.
+func TestHostNamesComparabilityFacts(t *testing.T) {
+	a := &Record{GOMAXPROCS: 2, GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24"}
+	if got, want := a.Host(), "GOMAXPROCS=2 linux/amd64 go1.24"; got != want {
+		t.Fatalf("Host() = %q, want %q", got, want)
+	}
+	b := *a
+	b.GOMAXPROCS = 1
+	if a.Host() == b.Host() {
+		t.Fatal("records with different GOMAXPROCS render the same host")
+	}
+}
+
 func TestReadRejectsWrongSchema(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_1.json")
@@ -145,33 +159,6 @@ func TestNewestPicksHighestPR(t *testing.T) {
 	if got, err := Newest(empty); err != nil || got != "" {
 		t.Fatalf("Newest(empty) = %q, %v; want \"\", nil", got, err)
 	}
-}
-
-func TestTrajectorySorted(t *testing.T) {
-	dir := t.TempDir()
-	for _, pr := range []int{10, 2, 9} {
-		rec := &Record{Schema: SchemaVersion, PR: pr}
-		if err := rec.WriteFile(filepath.Join(dir, "BENCH_"+itoa(pr)+".json")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := Trajectory(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 || recs[0].PR != 2 || recs[1].PR != 9 || recs[2].PR != 10 {
-		t.Fatalf("trajectory order wrong: %v", prs(recs))
-	}
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-func prs(recs []*Record) []int {
-	out := make([]int, len(recs))
-	for i, r := range recs {
-		out[i] = r.PR
-	}
-	return out
 }
 
 // baselineRecord builds a reference record for comparison tests.

@@ -55,8 +55,8 @@ func Suite() []Entry {
 		{"AllFiguresCached", benchAllFiguresCached},
 		{"WhatIfPlan", benchWhatIfPlan},
 		{"WhatIfWarm", benchWhatIfWarm},
-		{"GTCOptStudy", benchGTCOptStudy},
-		{"AMROptStudy", benchAMROptStudy},
+		{"GTCOptStudy", benchStudy("gtcopt")},
+		{"AMROptStudy", benchStudy("amropt")},
 		{"SimP2PThroughput", benchSimP2PThroughput},
 		{"SimAllreduce256", benchSimAllreduce256},
 		{"SimCollectives64", benchSimCollectives64},
@@ -274,22 +274,17 @@ func benchWhatIfWarm(ctx context.Context, b *testing.B) {
 	}
 }
 
-func benchGTCOptStudy(ctx context.Context, b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Options{Quick: true}
-		if _, err := experiments.GTCOptStudy(ctx, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchAMROptStudy(ctx context.Context, b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opts := experiments.Options{Quick: true}
-		if _, err := experiments.AMROptStudy(ctx, opts); err != nil {
-			b.Fatal(err)
+// benchStudy regenerates one quick optimisation study by its stable
+// identifier ("gtcopt" is §3.1's BG/L ladder, "amropt" §8.1's X1E
+// knapsack/regrid comparison).
+func benchStudy(id string) func(context.Context, *testing.B) {
+	return func(ctx context.Context, b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			opts := experiments.Options{Quick: true}
+			if _, _, err := experiments.RunStudyByID(ctx, opts, id); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -20,20 +20,10 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/machfile"
 	"repro/internal/machine"
 	"repro/internal/runner"
 )
-
-// MachineFinder resolves machine selectors into specs — the seam that
-// lets sweeps see user-defined platforms. The machfile registry
-// implements it; a nil finder means the built-in Table 1 testbed.
-type MachineFinder interface {
-	// Find resolves one forgiving machine name.
-	Find(name string) (machine.Spec, error)
-	// All returns the full resolvable testbed — what an empty machine
-	// selector sweeps.
-	All() []machine.Spec
-}
 
 // Options control experiment scale and scheduling. The full paper
 // concurrencies take a while under simulation on one host; Quick caps
@@ -50,12 +40,11 @@ type Options struct {
 	// identical either way, because every experiment assembles its
 	// output from results in deterministic job order.
 	Runner *runner.Pool
-	// Machines, if non-nil, resolves sweep machine selectors —
-	// typically a machfile.Registry carrying the session's custom
-	// platforms merged over the built-ins. Nil resolves built-ins only.
-	// The paper figures always run on their published built-in specs
-	// regardless.
-	Machines MachineFinder
+	// Machines is the machine namespace sweep and what-if selectors
+	// resolve against: the session's custom platforms merged over the
+	// built-ins. Nil is the built-in Table 1 testbed only. The paper
+	// figures always run on their published built-in specs regardless.
+	Machines *machfile.Registry
 }
 
 // pool returns the scheduling pool, defaulting to a serial one.
@@ -64,21 +53,6 @@ func (o Options) pool() *runner.Pool {
 		return o.Runner
 	}
 	return &runner.Pool{}
-}
-
-// builtinMachines is the nil-Machines fallback: machine.Find over the
-// Table 1 testbed.
-type builtinMachines struct{}
-
-func (builtinMachines) Find(name string) (machine.Spec, error) { return machine.Find(name) }
-func (builtinMachines) All() []machine.Spec                    { return machine.All() }
-
-// machineFinder returns the machine resolver, defaulting to built-ins.
-func (o Options) machineFinder() MachineFinder {
-	if o.Machines != nil {
-		return o.Machines
-	}
-	return builtinMachines{}
 }
 
 func (o Options) capProcs(p int) bool {

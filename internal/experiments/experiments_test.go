@@ -267,7 +267,7 @@ func TestFig1CommToposQuick(t *testing.T) {
 }
 
 func TestGTCOptStudyQuick(t *testing.T) {
-	rows, err := GTCOptStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "gtcopt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestGTCOptStudyQuick(t *testing.T) {
 }
 
 func TestAMROptStudyQuick(t *testing.T) {
-	rows, err := AMROptStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "amropt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestAMROptStudyQuick(t *testing.T) {
 }
 
 func TestVirtualNodeStudyQuick(t *testing.T) {
-	rows, err := VirtualNodeStudy(context.Background(), quick())
+	_, rows, err := RunStudyByID(context.Background(), quick(), "vnode")
 	if err != nil {
 		t.Fatal(err)
 	}

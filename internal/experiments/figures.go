@@ -8,7 +8,6 @@ import (
 	_ "repro/internal/apps/all" // populate the workload registry
 	"repro/internal/machine"
 	"repro/internal/runner"
-	"repro/internal/simmpi"
 )
 
 // seriesSpec pairs a machine with the concurrencies to run.
@@ -17,18 +16,39 @@ type seriesSpec struct {
 	procs []int
 }
 
-// appRunner runs one application instance on (machine, P) under ctx.
-type appRunner func(ctx context.Context, spec machine.Spec, procs int) (*simmpi.Report, error)
-
-// figureSpec declares a figure's cross-product — which machines at
-// which concurrencies, and how to simulate one point — without running
-// anything. jobs expands it into independently schedulable work;
-// assemble folds the results back into a Figure.
+// figureSpec declares a figure's cross-product — one workload on which
+// machines at which concurrencies — without running anything. jobs
+// expands it into independently schedulable work; assemble folds the
+// results back into a Figure.
 type figureSpec struct {
-	id, title, scaling, app string
-	series                  []seriesSpec
-	notes                   []string
-	run                     appRunner
+	id, title, scaling string
+	w                  apps.Workload
+	series             []seriesSpec
+	notes              []string
+}
+
+// PointJob is the one way a (workload, machine, P) point becomes a
+// runner job: w on spec at procs through apps.RunPoint, keyed by
+// content under experiment. The paper figures, Figure 8, sweeps and
+// what-if grids all build their points here, so one point priced by
+// two of them can never drift in key or record.
+func PointJob(experiment string, w apps.Workload, spec machine.Spec, procs int) runner.Job {
+	return runner.Job{
+		Key: runner.Key(experiment, w.Name(), spec, procs),
+		Run: func(ctx context.Context) (runner.Result, error) {
+			rep, err := apps.RunPoint(ctx, w, spec, procs)
+			if err != nil {
+				return runner.Result{}, fmt.Errorf("%s: %s on %s P=%d: %w", experiment, w.Name(), spec.Name, procs, err)
+			}
+			return runner.Result{
+				Experiment: experiment, App: w.Name(), Machine: spec.Name, Procs: procs,
+				Gflops:   rep.GflopsPerProc(),
+				PctPeak:  rep.PercentOfPeak(spec.PeakGFs),
+				CommFrac: rep.CommFrac,
+				WallSec:  rep.Wall,
+			}, nil
+		},
+	}
 }
 
 // pointRunnable is the single filter deciding whether a (machine,
@@ -45,26 +65,9 @@ func (fs *figureSpec) jobs(opts Options) []runner.Job {
 	var jobs []runner.Job
 	for _, ss := range fs.series {
 		for _, p := range ss.procs {
-			if !pointRunnable(opts, ss, p) {
-				continue
+			if pointRunnable(opts, ss, p) {
+				jobs = append(jobs, PointJob(fs.id, fs.w, ss.spec, p))
 			}
-			spec, procs := ss.spec, p
-			jobs = append(jobs, runner.Job{
-				Key: runner.Key(fs.id, fs.app, spec, procs),
-				Run: func(ctx context.Context) (runner.Result, error) {
-					rep, err := fs.run(ctx, spec, procs)
-					if err != nil {
-						return runner.Result{}, fmt.Errorf("%s %s P=%d: %w", fs.id, spec.Name, procs, err)
-					}
-					return runner.Result{
-						Experiment: fs.id, App: fs.app, Machine: spec.Name, Procs: procs,
-						Gflops:   rep.GflopsPerProc(),
-						PctPeak:  rep.PercentOfPeak(spec.PeakGFs),
-						CommFrac: rep.CommFrac,
-						WallSec:  rep.Wall,
-					}, nil
-				},
-			})
 		}
 	}
 	return jobs
@@ -133,19 +136,16 @@ type scalingFigure struct {
 
 // spec resolves the declaration against the registry into a schedulable
 // figureSpec: the scaling direction comes from the workload's Table 2
-// row, and every point runs through apps.RunPoint.
+// row, and every point runs through PointJob.
 func (sf scalingFigure) spec(opts Options) (*figureSpec, error) {
 	w, err := apps.Lookup(sf.app)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sf.id, err)
 	}
 	return &figureSpec{
-		id: sf.id, title: sf.title, scaling: w.Meta().Scaling, app: w.Name(),
+		id: sf.id, title: sf.title, scaling: w.Meta().Scaling, w: w,
 		series: sf.series(opts),
 		notes:  sf.notes,
-		run: func(ctx context.Context, spec machine.Spec, procs int) (*simmpi.Report, error) {
-			return apps.RunPoint(ctx, w, spec, procs)
-		},
 	}, nil
 }
 

@@ -78,26 +78,3 @@ func RunStudyByID(ctx context.Context, opts Options, id string) (apps.Study, []O
 	rows, err := runStudy(ctx, opts, study)
 	return study, rows, err
 }
-
-func studyRows(ctx context.Context, opts Options, id string) ([]OptResult, error) {
-	_, rows, err := RunStudyByID(ctx, opts, id)
-	return rows, err
-}
-
-// GTCOptStudy reproduces the §3.1 BG/L optimisation ladder (defined by
-// the GTC workload).
-func GTCOptStudy(ctx context.Context, opts Options) ([]OptResult, error) {
-	return studyRows(ctx, opts, "gtcopt")
-}
-
-// AMROptStudy reproduces the §8.1 HyperCLaw X1E knapsack/regrid
-// optimisations (defined by the HyperCLaw workload).
-func AMROptStudy(ctx context.Context, opts Options) ([]OptResult, error) {
-	return studyRows(ctx, opts, "amropt")
-}
-
-// VirtualNodeStudy reproduces the §3.1 BG/L virtual-node-mode efficiency
-// observation (defined by the GTC workload).
-func VirtualNodeStudy(ctx context.Context, opts Options) ([]OptResult, error) {
-	return studyRows(ctx, opts, "vnode")
-}

@@ -63,24 +63,7 @@ func fig8Jobs(opts Options) []runner.Job {
 	var jobs []runner.Job
 	for _, w := range apps.Workloads() {
 		for _, spec := range fig8Machines {
-			w, spec := w, spec
-			p := fig8ProcsFor(w.Name(), spec, opts)
-			jobs = append(jobs, runner.Job{
-				Key: runner.Key("Figure 8", w.Name(), spec, p),
-				Run: func(ctx context.Context) (runner.Result, error) {
-					rep, err := apps.RunPoint(ctx, w, spec, p)
-					if err != nil {
-						return runner.Result{}, fmt.Errorf("fig8 %s on %s: %w", w.Name(), spec.Name, err)
-					}
-					return runner.Result{
-						Experiment: "Figure 8", App: w.Name(), Machine: spec.Name, Procs: p,
-						Gflops:   rep.GflopsPerProc(),
-						PctPeak:  rep.PercentOfPeak(spec.PeakGFs),
-						CommFrac: rep.CommFrac,
-						WallSec:  rep.Wall,
-					}, nil
-				},
-			})
+			jobs = append(jobs, PointJob("Figure 8", w, spec, fig8ProcsFor(w.Name(), spec, opts)))
 		}
 	}
 	return jobs

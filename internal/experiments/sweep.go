@@ -7,9 +7,9 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/machfile"
 	"repro/internal/machine"
 	"repro/internal/runner"
-	"repro/internal/simmpi"
 )
 
 // SplitList parses a comma-separated selector, trimming blanks — the
@@ -60,9 +60,9 @@ func PlanSweep(opts Options, appNames, machineNames []string, procs []int) (*Swe
 	if err != nil {
 		return nil, err
 	}
-	machines, err := sweepMachines(opts.machineFinder(), machineNames)
+	machines, err := ResolveMachines(opts.Machines, machineNames)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	if len(procs) == 0 {
 		procs = powersOfTwo(64, 1024)
@@ -75,7 +75,6 @@ func PlanSweep(opts Options, appNames, machineNames []string, procs []int) (*Swe
 
 	specs := make([]*figureSpec, len(workloads))
 	for i, w := range workloads {
-		w := w
 		series := make([]seriesSpec, len(machines))
 		for j, spec := range machines {
 			series[j] = seriesSpec{spec: spec, procs: procs}
@@ -84,11 +83,8 @@ func PlanSweep(opts Options, appNames, machineNames []string, procs []int) (*Swe
 			id:      "Sweep " + w.Name(),
 			title:   fmt.Sprintf("%s sweep", w.Name()),
 			scaling: w.Meta().Scaling,
-			app:     w.Name(),
+			w:       w,
 			series:  series,
-			run: func(ctx context.Context, spec machine.Spec, p int) (*simmpi.Report, error) {
-				return apps.RunPoint(ctx, w, spec, p)
-			},
 		}
 		if !specs[i].runnable(opts) {
 			return nil, fmt.Errorf("sweep: no runnable points for %s sweep (check -procs against the machines' sizes)", w.Name())
@@ -152,30 +148,20 @@ func sweepWorkloads(names []string) ([]apps.Workload, error) {
 	return out, nil
 }
 
-// sweepMachines resolves the -machine selector through the options'
-// finder, wrapping selector errors with the sweep prefix.
-func sweepMachines(finder MachineFinder, names []string) ([]machine.Spec, error) {
-	out, err := ResolveMachines(finder, names)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-	return out, nil
-}
-
-// ResolveMachines resolves a machine selector through the finder: an
-// empty selector means the finder's full testbed (the Table 1 built-ins
-// plus any registered custom platforms); otherwise each name resolves
-// with the forgiving lookup and repeats are dropped, keeping
-// first-mention order. The one selector rule shared by sweep, whatif,
-// the CLI, and the HTTP service.
-func ResolveMachines(finder MachineFinder, names []string) ([]machine.Spec, error) {
+// ResolveMachines resolves a machine selector through the registry (nil
+// is the built-ins only): an empty selector means its full testbed (the
+// Table 1 built-ins plus any registered custom platforms); otherwise
+// each name resolves with the forgiving lookup and repeats are dropped,
+// keeping first-mention order. The one selector rule shared by sweep,
+// whatif, the CLI, and the HTTP service.
+func ResolveMachines(reg *machfile.Registry, names []string) ([]machine.Spec, error) {
 	if len(names) == 0 {
-		return finder.All(), nil
+		return reg.All(), nil
 	}
 	seen := map[string]bool{}
 	var out []machine.Spec
 	for _, name := range names {
-		spec, err := finder.Find(name)
+		spec, err := reg.Find(name)
 		if err != nil {
 			return nil, err
 		}

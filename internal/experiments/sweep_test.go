@@ -95,7 +95,7 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 }
 
 // TestSweepCustomMachine: a machfile-registered platform resolves
-// through the options' finder like a built-in, sweeps end to end, and
+// through the options' registry like a built-in, sweeps end to end, and
 // an empty machine selector includes it after the Table 1 testbed.
 func TestSweepCustomMachine(t *testing.T) {
 	reg := machfile.NewRegistry()
@@ -130,23 +130,23 @@ func TestSweepCustomMachine(t *testing.T) {
 // TestResolveMachinesSharedRule pins the one selector rule every
 // surface (sweep, whatif, CLI, HTTP) goes through: forgiving lookup,
 // repeats dropped in first-mention order, empty selector = the
-// finder's full testbed.
+// registry's full testbed.
 func TestResolveMachinesSharedRule(t *testing.T) {
-	got, err := ResolveMachines(builtinMachines{}, []string{"bgl", "BG/L", "bassi"})
+	got, err := ResolveMachines(nil, []string{"bgl", "BG/L", "bassi"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].Name != "BG/L" || got[1].Name != "Bassi" {
 		t.Fatalf("resolved %+v, want deduped [BG/L Bassi]", got)
 	}
-	all, err := ResolveMachines(builtinMachines{}, nil)
+	all, err := ResolveMachines(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != len(machine.All()) {
 		t.Fatalf("empty selector resolved %d machines, want %d", len(all), len(machine.All()))
 	}
-	if _, err := ResolveMachines(builtinMachines{}, []string{"nosuch"}); err == nil {
+	if _, err := ResolveMachines(nil, []string{"nosuch"}); err == nil {
 		t.Error("unknown machine resolved")
 	}
 }

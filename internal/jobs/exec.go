@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/experiments"
-	"repro/internal/machfile"
 	"repro/internal/runner"
 	"repro/internal/whatif"
 )
@@ -22,14 +21,11 @@ type EngineExecutor struct {
 
 // NewExecutor binds the queue to the experiments engine. opts.Runner is
 // the shared pool (nil gets a serial, uncached one — fine for tests,
-// not for traffic); opts.Machines the machine namespace (nil gets a
-// fresh registry over the built-ins).
+// not for traffic); opts.Machines the machine namespace (nil is the
+// built-ins only).
 func NewExecutor(opts experiments.Options) *EngineExecutor {
 	if opts.Runner == nil {
 		opts.Runner = &runner.Pool{}
-	}
-	if opts.Machines == nil {
-		opts.Machines = machfile.NewRegistry()
 	}
 	return &EngineExecutor{opts: opts}
 }

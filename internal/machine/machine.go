@@ -267,17 +267,6 @@ func All() []Spec {
 	return []Spec{Bassi, Jaguar, Jacquard, BGL, BGW, Phoenix}
 }
 
-// ByName looks up a spec by (case-sensitive) name among the standard
-// testbed plus the X1 variant.
-func ByName(name string) (Spec, error) {
-	for _, s := range append(All(), PhoenixX1) {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Spec{}, fmt.Errorf("machine: unknown machine %q", name)
-}
-
 // Names returns the sorted names of the standard testbed.
 func Names() []string {
 	all := All()

@@ -70,16 +70,6 @@ func TestTable1Transcription(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	s, err := ByName("Jaguar")
-	if err != nil || s.Arch != "Opteron" {
-		t.Errorf("ByName(Jaguar) = %v, %v", s, err)
-	}
-	if _, err := ByName("EarthSimulator"); err == nil {
-		t.Error("ByName accepted an unknown machine")
-	}
-}
-
 func TestWithModeVirtualNode(t *testing.T) {
 	vn := BGL.WithMode(VirtualNode)
 	if vn.Mode != VirtualNode {

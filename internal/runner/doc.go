@@ -21,7 +21,7 @@
 //     and Run returns partial results with every per-job error joined
 //     (errors.Join) instead of discarding the batch on first failure.
 //   - A pool owns two result tiers, both optional. A [MemCache] is a
-//     sharded in-memory LRU — the fast tier a long-running server
+//     single-mutex in-memory LRU — the fast tier a long-running server
 //     answers warm queries from. A [Cache] persists results as one JSON
 //     file per point under a directory, keyed by the SHA-256 of the
 //     experiment identifier and every value that determines the point's

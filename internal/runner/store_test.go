@@ -400,8 +400,6 @@ func TestMemCacheNonPositiveCapacityDisables(t *testing.T) {
 }
 
 func TestMemCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	// Capacities below 4×shards collapse to one shard, so eviction
-	// order is exact.
 	m := NewMemCache(2)
 	if m.Cap() != 2 {
 		t.Fatalf("cap %d, want 2", m.Cap())
@@ -440,11 +438,29 @@ func TestMemCacheUpdateMovesToFront(t *testing.T) {
 	}
 }
 
+// TestMemCacheHoldsExactlyCapacity: the tier holds its capacity, no
+// more and no less, and reports it.
+func TestMemCacheHoldsExactlyCapacity(t *testing.T) {
+	m := NewMemCache(100)
+	if m.Cap() != 100 {
+		t.Fatalf("cap %d, want 100", m.Cap())
+	}
+	for i := 0; i < 150; i++ {
+		m.Put(fmt.Sprintf("k%d", i), Result{Procs: i})
+	}
+	if m.Len() != 100 {
+		t.Fatalf("len %d after 150 puts, want 100", m.Len())
+	}
+	if _, ok := m.Get("k49"); ok {
+		t.Fatal("entry older than the last 100 puts survived")
+	}
+	if _, ok := m.Get("k50"); !ok {
+		t.Fatal("one of the last 100 puts was evicted")
+	}
+}
+
 func TestMemCacheShardedConcurrentAccess(t *testing.T) {
 	m := NewMemCache(DefaultMemCapacity)
-	if len(m.shards) != memShardCount {
-		t.Fatalf("%d shards, want %d", len(m.shards), memShardCount)
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

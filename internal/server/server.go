@@ -113,11 +113,10 @@ type Server struct {
 // New builds a server around opts. opts.Runner is the shared backend
 // pool — its Workers, memory tier, and disk cache serve every request;
 // a nil Runner gets a serial, uncached pool (fine for tests, not for
-// traffic). opts.Machines, if it is a machfile.Registry (the CLI
-// preloads -spec files into one), becomes the server's machine
-// namespace — POST /v1/machines registers into it; anything else
-// (including nil) is replaced by a fresh registry so registration
-// always works.
+// traffic). opts.Machines is the server's machine namespace (the CLI
+// preloads -spec files into it) and POST /v1/machines registers into
+// it; a nil registry is replaced by a fresh one so registration always
+// works.
 func New(opts experiments.Options) *Server {
 	return NewWithQueue(opts, nil)
 }
@@ -131,12 +130,10 @@ func NewWithQueue(opts experiments.Options, q *jobs.Queue) *Server {
 	if opts.Runner == nil {
 		opts.Runner = &runner.Pool{}
 	}
-	reg, ok := opts.Machines.(*machfile.Registry)
-	if !ok || reg == nil {
-		reg = machfile.NewRegistry()
-		opts.Machines = reg
+	if opts.Machines == nil {
+		opts.Machines = machfile.NewRegistry()
 	}
-	s := &Server{exec: jobs.NewExecutor(opts), pool: opts.Runner, machines: reg, queue: q}
+	s := &Server{exec: jobs.NewExecutor(opts), pool: opts.Runner, machines: opts.Machines, queue: q}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /v1/machines", s.handleMachines)

@@ -135,9 +135,6 @@ func (c *Comm) Rank(r *Rank) int {
 	return -1
 }
 
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
-
 // collect is the generation-numbered rendezvous at the heart of every
 // collective. Arrivers park; the last arriver runs fin (under the lock)
 // to fill outputs and the finish time, then wakes every other member —

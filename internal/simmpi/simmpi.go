@@ -127,9 +127,6 @@ func (w *World) aborted() error {
 	return w.abortErr
 }
 
-// Net exposes the network model (for reporting).
-func (w *World) Net() *netmodel.Model { return w.net }
-
 // defaultShards picks the shard count for a world: 1 unless the host
 // has idle CPUs to spend on intra-world parallelism, the runner's slot
 // budget (propagated via simslot) permits it, and the world is large

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 	"repro/internal/runner"
 )
@@ -180,7 +181,6 @@ func validKnob(k Knob) bool {
 // one concurrency, tagged with what produced it.
 type pointSpec struct {
 	spec     machine.Spec
-	baseName string // the unperturbed machine's name
 	procs    int
 	knob     Knob    // "" for a baseline point
 	deltaPct float64 // signed; 0 for a baseline point
@@ -250,7 +250,7 @@ func NewPlan(appName string, machines []machine.Spec, procs []int, perturbs []Pe
 			if p > m.TotalProcs {
 				return nil, fmt.Errorf("whatif: %s holds %d processors, cannot run P=%d", m.Name, m.TotalProcs, p)
 			}
-			plan.points = append(plan.points, pointSpec{spec: m, baseName: m.Name, procs: p})
+			plan.points = append(plan.points, pointSpec{spec: m, procs: p})
 			for _, pe := range perturbs {
 				for _, delta := range deltas(pe.Pct, steps) {
 					ps, err := Apply(m, pe.Knob, delta)
@@ -260,7 +260,7 @@ func NewPlan(appName string, machines []machine.Spec, procs []int, perturbs []Pe
 					if p > ps.TotalProcs {
 						return nil, fmt.Errorf("whatif: %s%+g%% shrinks %s below P=%d", pe.Knob, delta, m.Name, p)
 					}
-					plan.points = append(plan.points, pointSpec{spec: ps, baseName: m.Name, procs: p, knob: pe.Knob, deltaPct: delta})
+					plan.points = append(plan.points, pointSpec{spec: ps, procs: p, knob: pe.Knob, deltaPct: delta})
 				}
 			}
 		}
@@ -293,36 +293,23 @@ func (p *Plan) experiment() string { return "WhatIf " + p.workload.Name() }
 // one.
 func (p *Plan) Jobs() []runner.Job {
 	id := p.experiment()
-	name := p.workload.Name()
 	jobs := make([]runner.Job, len(p.points))
 	for i, ps := range p.points {
-		ps := ps
-		jobs[i] = runner.Job{
-			Key: runner.Key(id, name, ps.spec, ps.procs),
-			Run: func(ctx context.Context) (runner.Result, error) {
-				rep, err := apps.RunPoint(ctx, p.workload, ps.spec, ps.procs)
-				if err != nil {
-					return runner.Result{}, fmt.Errorf("%s %s%s P=%d: %w", id, ps.baseName, knobTag(ps), ps.procs, err)
-				}
-				return runner.Result{
-					Experiment: id, App: name, Machine: ps.spec.Name, Procs: ps.procs,
-					Gflops:   rep.GflopsPerProc(),
-					PctPeak:  rep.PercentOfPeak(ps.spec.PeakGFs),
-					CommFrac: rep.CommFrac,
-					WallSec:  rep.Wall,
-				}, nil
-			},
+		jobs[i] = experiments.PointJob(id, p.workload, ps.spec, ps.procs)
+		if ps.knob == "" {
+			continue
+		}
+		// A failed perturbed point names the knob step that produced it.
+		run, step := jobs[i].Run, fmt.Sprintf("%s%+g%%", ps.knob, ps.deltaPct)
+		jobs[i].Run = func(ctx context.Context) (runner.Result, error) {
+			r, err := run(ctx)
+			if err != nil {
+				err = fmt.Errorf("%s: %w", step, err)
+			}
+			return r, err
 		}
 	}
 	return jobs
-}
-
-// knobTag renders a point's perturbation for error messages.
-func knobTag(ps pointSpec) string {
-	if ps.knob == "" {
-		return ""
-	}
-	return fmt.Sprintf(" %s%+g%%", ps.knob, ps.deltaPct)
 }
 
 // Point is one completed grid point: the perturbation that produced it

@@ -3,8 +3,10 @@ package whatif
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	_ "repro/internal/apps/all" // populate the workload registry
@@ -349,5 +351,26 @@ func TestPerturbedSpecsDistinctKeys(t *testing.T) {
 	}
 	if runner.Key("WhatIf GTC", "GTC", noop, 64) != base {
 		t.Fatal("no-op perturbation should share the baseline's cache key")
+	}
+}
+
+// TestPointErrorNamesKnob: a failed grid point says which perturbation
+// produced it, so a what-if failure is traceable to its knob step.
+func TestPointErrorNamesKnob(t *testing.T) {
+	plan, err := NewPlan("gtc", []machine.Spec{machine.Bassi}, []int{4}, []Perturbation{{Knob: Latency, Pct: 20}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := plan.Jobs()
+	for i, want := range []string{"", "latency-20%: ", "latency+20%: "} {
+		_, err := jobs[i].Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("job %d on a cancelled context: %v", i, err)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, want+"WhatIf GTC: GTC on Bassi P=4: ") {
+			t.Errorf("job %d error %q does not start with %q", i, msg, want+"WhatIf GTC: GTC on Bassi P=4: ")
+		}
 	}
 }
