@@ -130,6 +130,75 @@ func TestTagsDoNotCross(t *testing.T) {
 	}
 }
 
+// TestInterleavedKeysKeepPerKeyFIFO has two sources send interleaved
+// tags to one rank, which receives them far from arrival order: tags
+// descending, sources swapped. Every payload must reach its own
+// (source, tag) and, within a key, arrive in send order. The first round
+// receives while the senders are still running; the second only after
+// a barrier, when every message is already queued.
+func TestInterleavedKeysKeepPerKeyFIFO(t *testing.T) {
+	const perKey = 5
+	tags := []int{10, 11, 12}
+	_, err := RunContext(context.Background(), testCfg(3), func(r *Rank) {
+		for round := 0; round < 2; round++ {
+			base := 100 * round
+			if r.ID() != 0 {
+				for i := 0; i < perKey; i++ {
+					for _, tag := range tags {
+						r.Send(0, base+tag, []float64{float64(r.ID()), float64(base + tag), float64(i)})
+					}
+				}
+			}
+			if round == 1 {
+				r.Barrier(r.World())
+			}
+			if r.ID() != 0 {
+				continue
+			}
+			for ti := len(tags) - 1; ti >= 0; ti-- {
+				tag := base + tags[ti]
+				for _, src := range []int{2, 1} {
+					for i := 0; i < perKey; i++ {
+						got := r.Recv(src, tag)
+						want := []float64{float64(src), float64(tag), float64(i)}
+						if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+							t.Errorf("round %d: Recv(%d, %d) #%d = %v, want %v", round, src, tag, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReverseTagBurst queues a 1000-message burst on distinct tags and
+// receives it in reverse tag order, so every receive but the last
+// matches the newest pending message rather than the oldest.
+func TestReverseTagBurst(t *testing.T) {
+	const msgs = 1000
+	_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
+		if r.ID() == 0 {
+			for m := 0; m < msgs; m++ {
+				r.Send(1, m, []float64{float64(m)})
+			}
+			r.Barrier(r.World())
+			return
+		}
+		r.Barrier(r.World())
+		for m := msgs - 1; m >= 0; m-- {
+			if got := r.Recv(0, m); len(got) != 1 || got[0] != float64(m) {
+				t.Fatalf("Recv(0, %d) = %v, want [%d]", m, got, m)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestVirtualTimeCausality(t *testing.T) {
 	// A receiver that was "in the past" is pulled forward to the message
 	// arrival; a receiver already "in the future" keeps its clock.
@@ -273,6 +342,26 @@ func TestRunContextCancelAbortsMidRun(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestRunContextCancelReturnsCause: a run cancelled with a cause
+// returns that cause, not the bare context.Canceled.
+func TestRunContextCancelReturnsCause(t *testing.T) {
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	_, err := RunContext(ctx, testCfg(4), func(r *Rank) {
+		if r.ID() == 0 {
+			cancel(cause)
+		}
+		// Communicate forever; only the abort can end this.
+		for {
+			r.Barrier(r.World())
+		}
+	})
+	if !errors.Is(err, cause) {
+		t.Fatalf("cancelled run returned %v, want %v", err, cause)
 	}
 }
 
