@@ -226,20 +226,22 @@ func TestSweepPlanStreamDeliversEveryPoint(t *testing.T) {
 // mid-run must stop scheduling, surface the cancellation, and leave no
 // worker goroutines behind (checked under -race in CI).
 func TestSweepCancelMidRunReturnsPromptlyWithoutLeaks(t *testing.T) {
-	// Warm simmpi's pooled cancellation watchers: they park in their
-	// pool after a run by design, so a cold baseline would misread the
-	// first cancellable runs' pooled goroutines as a leak. Two worlds
-	// are held alive concurrently to warm one watcher per pool worker.
+	// Fill simmpi's pool of duty hosts: they park there after a run by
+	// design, so a cold baseline would misread the sweep's first worlds
+	// as a leak. Two 256-rank worlds, one per pool worker, are held with
+	// all but their last rank parked until both are, which is the most
+	// hosts the sweep below can pin at once.
 	release := make(chan struct{})
 	entered := make(chan struct{}, 2)
 	warmDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			wctx, wcancel := context.WithCancel(context.Background())
-			defer wcancel()
-			_, err := simmpi.RunContext(wctx, simmpi.Config{Machine: machine.Bassi, Procs: 1}, func(r *simmpi.Rank) {
-				entered <- struct{}{}
-				<-release
+			_, err := simmpi.RunContext(context.Background(), simmpi.Config{Machine: machine.Bassi, Procs: 256}, func(r *simmpi.Rank) {
+				if r.ID() == r.N()-1 {
+					entered <- struct{}{}
+					<-release
+				}
+				r.Barrier(r.World())
 			})
 			warmDone <- err
 		}()

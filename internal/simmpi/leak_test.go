@@ -137,11 +137,11 @@ func TestCancelSplitCommNoLeak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// warmPools runs one cancellable world to completion so process-wide
-// goroutine pools (duty hosts, the cancellation watcher) are populated
-// before a leak test takes its baseline count: those goroutines park in
-// their pools after a run by design, which a cold baseline would
-// misread as a leak.
+// warmPools runs one cancellable world to completion so the
+// process-wide pool of duty hosts is populated before a leak test takes
+// its baseline count: hosts park in the pool after a run by design,
+// which a cold baseline would misread as a leak. Cancellation itself
+// starts no goroutine; ranks poll the context at each communication op.
 func warmPools(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -7,13 +7,13 @@ import (
 )
 
 // TestFreeBufPoisonsOnPut verifies the poison-on-put hook: once enabled,
-// a recycled buffer's full capacity is overwritten with PoisonValue the
+// a recycled buffer's full capacity is overwritten with poisonValue the
 // moment it is freed, so any use-after-free surfaces as recognisable
 // NaNs instead of silent stale data.
 func TestFreeBufPoisonsOnPut(t *testing.T) {
-	prev := SetPoisonPutsForTest(true)
-	defer SetPoisonPutsForTest(prev)
-	want := math.Float64bits(PoisonValue)
+	prev := poisonPuts.Swap(true)
+	defer poisonPuts.Store(prev)
+	want := math.Float64bits(poisonValue)
 	_, err := RunContext(context.Background(), testCfg(1), func(r *Rank) {
 		buf := r.GetBuf(64)
 		buf = buf[:cap(buf)]

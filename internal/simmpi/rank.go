@@ -48,11 +48,21 @@ func (r *Rank) World() *Comm { return r.world }
 // Now returns the rank's current virtual time.
 func (r *Rank) Now() vtime.Seconds { return r.clock.Now() }
 
-// checkAbort unwinds this rank if another rank has failed.
+// checkAbort unwinds this rank if the world has aborted, aborting it
+// first if the run's context is cancelled. Every send, receive and
+// collective starts here, so a cancelled world unwinds from the next
+// communication op any rank reaches.
 func (r *Rank) checkAbort() {
-	if r.w.abortFlag.Load() {
-		panic(abortedPanic{r.w.aborted()})
+	w := r.w
+	if !w.abortFlag.Load() {
+		select {
+		case <-w.cancelled:
+			w.abort(errCancelled)
+		default:
+			return
+		}
 	}
+	panic(abortedPanic{w.aborted()})
 }
 
 // Compute advances the rank's clock by the modelled duration of executing
@@ -131,19 +141,10 @@ func (r *Rank) SendOwnedNominal(dst, tag int, data []float64, nomBytes float64) 
 	if c := w.cfg.Collector; c != nil {
 		c.RecordP2P(r.id, dst, nomBytes)
 	}
-	msg := message{data: data, arrive: depart + delay}
 	k := msgKey{src: r.id, tag: tag}
 	mb := &w.mail[dst]
 	mb.mu.Lock()
-	if mb.q == nil {
-		mb.q = make(map[msgKey]*msgq)
-	}
-	q := mb.q[k]
-	if q == nil {
-		q = w.getMsgq()
-		mb.q[k] = q
-	}
-	q.push(msg)
+	mb.push(k, message{data: data, arrive: depart + delay})
 	if mb.waiting && mb.waitKey == k {
 		w.wake(mb.owner)
 	}
@@ -151,8 +152,10 @@ func (r *Rank) SendOwnedNominal(dst, tag int, data []float64, nomBytes float64) 
 }
 
 // Recv blocks (in virtual and host time) until a message with the given
-// source and tag arrives, then returns its payload. The rank's clock
-// advances to the message arrival time plus receive overhead.
+// source and tag arrives, then returns its payload: the oldest pending
+// one with that (source, tag), however many messages on other keys
+// arrived before it. The rank's clock advances to the message arrival
+// time plus receive overhead.
 func (r *Rank) Recv(src, tag int) []float64 {
 	r.checkAbort()
 	if src < 0 || src >= r.N() {
@@ -163,19 +166,7 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	k := msgKey{src: src, tag: tag}
 	mb.mu.Lock()
 	for {
-		if q := mb.q[k]; q != nil && !q.empty() {
-			msg := q.pop()
-			if q.empty() {
-				// Recycle drained queues eagerly: halo exchanges use
-				// monotone tags, so (src, tag) keys almost always carry
-				// exactly one message (every key does in `petasim -quick
-				// -max 64 all`) and would otherwise pin a fresh msgq until
-				// world teardown. Deleting the key keeps the map's buckets
-				// for reuse; a steady key (ping-pong) re-inserts
-				// allocation-free.
-				delete(mb.q, k)
-				w.putMsgq(q)
-			}
+		if msg, ok := mb.take(k); ok {
 			mb.mu.Unlock()
 			before := r.clock.Now()
 			r.clock.AdvanceTo(msg.arrive)

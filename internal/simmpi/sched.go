@@ -1,7 +1,6 @@
 package simmpi
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -31,11 +30,16 @@ import (
 // shuffling dispatch through the schedShuffle hook.
 //
 // Lock order: resource lock (mailbox.mu or commShared.mu) before
-// shard.mu, never the reverse. A parking rank publishes its parked state
-// under both locks before the resource lock is released, so a waker that
-// observes the wait condition also observes the parked state — a wake
-// can never be lost — and the 1-buffered resume channel absorbs a
-// dispatch that lands before the host actually blocks.
+// shard.mu, never the reverse; idleMu, abortMu and poolMu are leaves,
+// held while acquiring nothing else. abort takes every shard.mu in turn,
+// so none of its callers holds one: a rank's checkAbort at the start of
+// a communication op (how a cancelled context enters), runBody, and a
+// duty holder that found nothing to dispatch. A parking rank publishes
+// its parked state under both locks before the resource lock is
+// released, so a waker that observes the wait condition also observes
+// the parked state — a wake can never be lost — and the 1-buffered
+// resume channel absorbs a dispatch that lands before the host actually
+// blocks.
 
 // errDeadlock reports a world whose unfinished ranks are all blocked on
 // communication that no runnable rank will ever complete. The preemptive
@@ -55,6 +59,10 @@ const (
 // pick among the n dispatchable candidates (test hook: virtual-time
 // results must be byte-identical under any dispatch order).
 var schedShuffle func(n int) int
+
+// schedShards, when positive, overrides defaultShards (test hook: the
+// determinism stress test sweeps shard counts).
+var schedShards int
 
 // shard is one calendar: the subset of ranks whose world ids are
 // congruent to idx modulo the shard count, a ready-heap over the parked
@@ -447,100 +455,6 @@ func hostMain(sh *shard) {
 	}
 }
 
-// Cancellation watchers are pooled goroutines, like hosts: one watcher
-// serves each cancellable run, parked on a select between the run's
-// ctx.Done and the world's watchStop rendezvous. context.AfterFunc did
-// the same job but cost four heap allocations per run (callback
-// closure, afterFuncCtx, stop closure, done channel); a recycled
-// watcher and the world's two reusable handshake channels cost none.
-//
-// The protocol keeps exactly one owner at every instant. watchCancel
-// writes wt.w and hands the ctx over wt.ch (buffered 1, so a watcher
-// re-pooled before it loops back to its receive can still absorb the
-// next run's handoff). stopWatch detaches after the run with a
-// rendezvous: either the watchStop send pairs with a still-parked
-// watcher, or the watchFired receive pairs with a watcher whose abort
-// sweep has finished — so the arena is never recycled under a live
-// sweep. Only after that rendezvous is the watcher pooled, and a nil
-// ctx tells a surplus watcher to exit.
-
-// maxIdleWatchers bounds pool retention: one watcher is in flight per
-// concurrently-running cancellable world, so the runner's worker pool
-// (≈GOMAXPROCS) sets the realistic high-water mark.
-const maxIdleWatchers = 16
-
-type watcher struct {
-	w  *World               // world to watch; written by watchCancel before the ch handoff
-	ch chan context.Context // run handoff; nil ctx = exit
-}
-
-var (
-	watcherMu    sync.Mutex
-	idleWatchers []*watcher
-)
-
-// watchCancel pairs w with a pooled watcher that aborts the world when
-// ctx is cancelled. The caller must detach with stopWatch after the run.
-func (w *World) watchCancel(ctx context.Context) *watcher {
-	var wt *watcher
-	watcherMu.Lock()
-	if n := len(idleWatchers); n > 0 {
-		wt = idleWatchers[n-1]
-		idleWatchers[n-1] = nil
-		idleWatchers = idleWatchers[:n-1]
-	}
-	watcherMu.Unlock()
-	if wt == nil {
-		wt = &watcher{ch: make(chan context.Context, 1)}
-		go wt.main()
-	}
-	wt.w = w
-	wt.ch <- ctx
-	return wt
-}
-
-// stopWatch detaches w's watcher after the run: a clean detach if the
-// watcher is still parked, or a wait for the abort sweep to finish if
-// cancellation fired. Either way the watcher is past touching the world
-// when this returns, so it is re-pooled and the arena may be recycled.
-func (w *World) stopWatch(wt *watcher) {
-	select {
-	case w.watchStop <- struct{}{}:
-	case <-w.watchFired:
-	}
-	wt.w = nil
-	watcherMu.Lock()
-	if len(idleWatchers) < maxIdleWatchers {
-		idleWatchers = append(idleWatchers, wt)
-		watcherMu.Unlock()
-		return
-	}
-	watcherMu.Unlock()
-	wt.ch <- nil
-}
-
-func (wt *watcher) main() {
-	for {
-		ctx := <-wt.ch
-		if ctx == nil {
-			return
-		}
-		wt.watch(ctx)
-	}
-}
-
-// watch serves one run. The frame pops when it returns, dropping the
-// world and ctx refs while the watcher idles (mirrors hostMain).
-func (wt *watcher) watch(ctx context.Context) {
-	w := wt.w
-	select {
-	case <-ctx.Done():
-		w.abort(context.Cause(ctx))
-		w.watchFired <- struct{}{}
-	case <-w.watchStop:
-	}
-}
-
 // runBody executes one rank's body inline on the duty goroutine,
 // converting panics into world aborts and counting completion. An
 // abortedPanic is the normal unwind of an aborted world. runtime.Goexit
@@ -575,7 +489,8 @@ func (w *World) runBody(r *Rank) {
 // abort records the first error, then marks every parked rank ready so
 // the world unwinds instead of hanging: redispatched ranks observe the
 // abort flag at their wait-condition recheck and panic(abortedPanic);
-// ranks mid-compute notice at their next communication op. The flag is
+// ranks mid-compute notice at their next communication op. A cancelled
+// run context enters here too, as errCancelled from checkAbort. The flag is
 // published before the sweep, so a rank parking after the sweep passed
 // its shard sees the flag under shard.mu and self-marks ready (see
 // park): no rank can park unwoken after an abort.
@@ -625,9 +540,9 @@ func (w *World) start() {
 }
 
 // ---------------------------------------------------------------------
-// Arenas and pools: worlds, ranks, mailboxes, message queues, and
-// payload buffers are recycled through a sync.Pool so steady-state world
-// spawn and messaging allocate (almost) nothing.
+// Arenas and pools: worlds, ranks, mailboxes, and payload buffers are
+// recycled through a sync.Pool so steady-state world spawn and messaging
+// allocate (almost) nothing.
 
 var worldPool = sync.Pool{New: func() any { return new(World) }}
 
@@ -639,19 +554,14 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
-// PoisonValue is the sentinel written over recycled payload buffers when
+// poisonValue is the sentinel written over recycled payload buffers when
 // poisoning is enabled: a quiet NaN with a recognisable bit pattern, so
 // any use-after-free turns downstream results into NaNs immediately.
-var PoisonValue = math.Float64frombits(0x7FF8DEADBEEFDEAD)
+var poisonValue = math.Float64frombits(0x7FF8DEADBEEFDEAD)
 
-// poisonPuts enables poison-on-put for recycled payload buffers.
+// poisonPuts enables poison-on-put for recycled payload buffers (test
+// hook).
 var poisonPuts atomic.Bool
-
-// SetPoisonPutsForTest toggles poison-on-put for recycled payload
-// buffers and returns the previous setting. Test hook.
-func SetPoisonPutsForTest(on bool) bool {
-	return poisonPuts.Swap(on)
-}
 
 // classFor returns the size-class index for a capacity request, or -1
 // when the request is too large to pool.
@@ -705,69 +615,11 @@ func (w *World) freeBuf(p []float64) {
 	if poisonPuts.Load() {
 		p = p[:c]
 		for i := range p {
-			p[i] = PoisonValue
+			p[i] = poisonValue
 		}
 	}
 	w.poolMu.Lock()
 	w.bufs[cls] = append(w.bufs[cls], p[:0])
-	w.poolMu.Unlock()
-}
-
-// msgq is one (source, tag) FIFO: a ring that reuses its backing array
-// once drained, so steady-state messaging never grows it.
-type msgq struct {
-	buf  []message
-	head int
-}
-
-func (q *msgq) empty() bool { return q.head == len(q.buf) }
-
-func (q *msgq) push(m message) { q.buf = append(q.buf, m) }
-
-func (q *msgq) pop() message {
-	m := q.buf[q.head]
-	q.buf[q.head] = message{}
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return m
-}
-
-func (q *msgq) reset() {
-	for i := q.head; i < len(q.buf); i++ {
-		q.buf[i] = message{}
-	}
-	q.buf = q.buf[:0]
-	q.head = 0
-}
-
-func (w *World) getMsgq() *msgq {
-	w.poolMu.Lock()
-	if n := len(w.msgqFree); n > 0 {
-		q := w.msgqFree[n-1]
-		w.msgqFree[n-1] = nil
-		w.msgqFree = w.msgqFree[:n-1]
-		w.poolMu.Unlock()
-		return q
-	}
-	w.poolMu.Unlock()
-	return new(msgq)
-}
-
-// putMsgq returns a drained queue to the world's freelist, subject to
-// the same retention bounds as teardown. Callers may hold a mailbox
-// mutex: the lock order is mailbox.mu before poolMu, matching getMsgq's
-// call site in SendOwnedNominal.
-func (w *World) putMsgq(q *msgq) {
-	if cap(q.buf) > maxKeptRingCap {
-		return
-	}
-	w.poolMu.Lock()
-	if len(w.msgqFree) < maxFreeMsgqs {
-		w.msgqFree = append(w.msgqFree, q)
-	}
 	w.poolMu.Unlock()
 }
 
@@ -806,12 +658,6 @@ func (w *World) ensure(procs, nshards int) {
 		sh.fresh = i
 		sh.idle = false
 	}
-	if w.watchStop == nil {
-		// Once per World object, not per run: the rendezvous protocol
-		// leaves both channels empty and open, so reuse is safe.
-		w.watchStop = make(chan struct{})
-		w.watchFired = make(chan struct{})
-	}
 	w.done = make(chan struct{})
 	w.finished.Store(0)
 	w.idleShards = 0
@@ -839,19 +685,14 @@ func (w *World) initRanks() {
 	}
 }
 
-// Retention bounds for the pooled arena. A pooled world is live heap
-// that every GC cycle re-marks, and the message maps and rings are
-// pointer-dense: one ghost-exchange-heavy world left tens of MB of
-// mailbox state in the pool, stretching every subsequent mark phase in
-// the process from ~2ms to ~50ms. Steady-state small worlds (the
-// latency/bandwidth calibration loop, microbenchmarks) fit comfortably
-// inside these bounds; a monster world hands its bulk back to the GC
-// once at teardown.
-const (
-	maxFreeMsgqs   = 2048 // msgq structs kept on the world's freelist
-	maxKeptRingCap = 16   // message rings grown past this are dropped
-	maxKeptMapKeys = 4096 // mailbox map keys kept across the whole world
-)
+// maxKeptPending bounds the mailbox capacity a pooled world keeps per
+// rank. A pooled world is live heap that every GC cycle re-marks, and
+// the pending slices are pointer-dense: one ghost-exchange-heavy world
+// could otherwise leave megabytes of mailbox slots in the pool and
+// stretch every later mark phase. Halo exchanges queue a handful of
+// messages per rank and fit; a deeper mailbox (HyperCLaw's regrid
+// traffic, a long burst) hands its slice back to the GC at teardown.
+const maxKeptPending = 16
 
 // reset clears per-run state after a world finishes so the arena can be
 // pooled. Only structures the world actually touched are walked.
@@ -869,35 +710,23 @@ func (w *World) reset() {
 		}
 		*r = Rank{resume: resume, phases: phases}
 	}
-	keptKeys := 0
 	for i := range w.mail {
 		mb := &w.mail[i]
 		mb.owner = nil
 		mb.waiting = false
-		if n := len(mb.q); n > 0 {
-			for k, q := range mb.q {
-				q.reset()
-				if cap(q.buf) <= maxKeptRingCap && len(w.msgqFree) < maxFreeMsgqs {
-					w.msgqFree = append(w.msgqFree, q)
-				}
-				delete(mb.q, k)
-			}
-			// delete keeps a map's buckets, which is the point: the next
-			// run reuses them allocation-free. But bucket memory is
-			// pointer-dense live heap the GC re-marks forever, so only a
-			// bounded number of keys stays pooled world-wide; mailboxes
-			// past the budget drop their maps entirely.
-			if keptKeys+n <= maxKeptMapKeys {
-				keptKeys += n
-			} else {
-				mb.q = nil
-			}
+		if cap(mb.q) > maxKeptPending {
+			mb.q = nil
+		} else {
+			clear(mb.q) // undelivered messages never reach the next world
+			mb.q = mb.q[:0]
 		}
+		mb.head = 0
 	}
 	w.wshared.clearRefs()
 	w.world = Comm{}
 	w.net = nil
 	w.body = nil
+	w.cancelled = nil
 	w.cfg = Config{}
 }
 

@@ -57,10 +57,10 @@ func seededShuffle(seed int64) func(n int) int {
 // seeded random dispatch orders injected through the schedShuffle hook.
 func TestSchedulerDeterminismUnderStress(t *testing.T) {
 	const procs = 32
+	defer func() { schedShards = 0 }()
 	base := func() *Report {
-		cfg := testCfg(procs)
-		cfg.Shards = 1
-		rep, err := RunContext(context.Background(), cfg, stressProg)
+		schedShards = 1
+		rep, err := RunContext(context.Background(), testCfg(procs), stressProg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +78,8 @@ func TestSchedulerDeterminismUnderStress(t *testing.T) {
 				} else {
 					schedShuffle = seededShuffle(seed)
 				}
-				cfg := testCfg(procs)
-				cfg.Shards = shards
-				rep, err := RunContext(context.Background(), cfg, stressProg)
+				schedShards = shards
+				rep, err := RunContext(context.Background(), testCfg(procs), stressProg)
 				schedShuffle = nil
 				if err != nil {
 					t.Fatalf("gmp=%d shards=%d seed=%d: %v", gmp, shards, seed, err)

@@ -13,6 +13,11 @@
 // results are bit-reproducible regardless of host scheduling, shard
 // count, or GOMAXPROCS.
 //
+// Each rank's mailbox holds its undelivered messages in arrival order;
+// a receive takes the oldest one with its (source, tag). Cancellation
+// needs no goroutine of its own: every communication op polls the run's
+// context, and the first rank to see it cancelled aborts the world.
+//
 // The runtime separates nominal from actual payloads: cost models charge
 // the nominal byte counts of the paper-scale problem, while the Go slices
 // actually exchanged can be scaled-down arrays that fit on a laptop.
@@ -20,6 +25,7 @@ package simmpi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -44,17 +50,11 @@ type Config struct {
 	Mapping topology.Mapping
 	// Collector, if non-nil, records the communication matrix.
 	Collector *commmatrix.Collector
-	// Shards optionally fixes the number of scheduler shards (parallel
-	// event calendars) inside the world. 0 picks automatically: 1 on a
-	// single-CPU host or when the runner has no spare simulation slots,
-	// more for large worlds with idle CPUs. Virtual-time results are
-	// identical for every value; only host-time parallelism changes.
-	Shards int
 }
 
 // World holds the shared state of one simulated run. Worlds are pooled
-// arenas: ranks, mailboxes, message queues, shard calendars, and payload
-// buffers are recycled across runs (see sched.go).
+// arenas: ranks, mailboxes, shard calendars, and payload buffers are
+// recycled across runs (see sched.go).
 type World struct {
 	cfg   Config
 	net   *netmodel.Model
@@ -83,15 +83,12 @@ type World struct {
 	abortMu   sync.Mutex
 	abortErr  error
 
-	// Cancellation-watcher handshake (see watcherMain in sched.go). Both
-	// channels are unbuffered, never closed, and reused across runs: each
-	// watchCancel is matched by exactly one stopWatch rendezvous.
-	watchStop  chan struct{}
-	watchFired chan struct{}
+	// cancelled is the run context's Done channel (nil when the context
+	// cannot be cancelled), polled by Rank.checkAbort.
+	cancelled <-chan struct{}
 
-	poolMu   sync.Mutex
-	bufs     [numClasses][][]float64
-	msgqFree []*msgq
+	poolMu sync.Mutex
+	bufs   [numClasses][][]float64
 
 	memoMu sync.Mutex
 	memos  map[any]*memoEntry
@@ -106,20 +103,67 @@ type message struct {
 	arrive vtime.Seconds
 }
 
-// mailbox is one rank's incoming message store. Only the owner ever
-// waits on it, so the wait state is a single (key, flag) pair rather
-// than a condition variable.
+// pending is one undelivered message and the (source, tag) it matches.
+type pending struct {
+	key msgKey
+	msg message
+}
+
+// mailbox is one rank's incoming message store: q[head:] are the
+// undelivered messages in arrival order, and every slot before head is
+// zeroed. Only the owner ever waits on it, so the wait state is a single
+// (key, flag) pair rather than a condition variable.
 type mailbox struct {
 	mu      sync.Mutex
 	owner   *Rank
-	q       map[msgKey]*msgq // lazy: nil until the first message
+	q       []pending
+	head    int
 	waiting bool
 	waitKey msgKey
+}
+
+// push queues a message. A full slice whose delivered prefix is at
+// least half its length is compacted rather than grown, so a queue that
+// never drains completely stays proportional to its depth.
+func (mb *mailbox) push(k msgKey, m message) {
+	if mb.head > 0 && len(mb.q) == cap(mb.q) && 2*mb.head >= len(mb.q) {
+		n := copy(mb.q, mb.q[mb.head:])
+		clear(mb.q[n:])
+		mb.q = mb.q[:n]
+		mb.head = 0
+	}
+	mb.q = append(mb.q, pending{key: k, msg: m})
+}
+
+// take removes and returns the oldest message matching k. The entries
+// older than it shift up one slot and the head advances past the one
+// vacated, so an in-order receive is O(1), any other costs no more than
+// the scan that found it, and per-key FIFO order holds.
+func (mb *mailbox) take(k msgKey) (message, bool) {
+	for i := mb.head; i < len(mb.q); i++ {
+		if mb.q[i].key != k {
+			continue
+		}
+		m := mb.q[i].msg
+		copy(mb.q[mb.head+1:i+1], mb.q[mb.head:i])
+		mb.q[mb.head] = pending{}
+		mb.head++
+		if mb.head == len(mb.q) {
+			mb.q = mb.q[:0]
+			mb.head = 0
+		}
+		return m, true
+	}
+	return message{}, false
 }
 
 // abortedPanic is the sentinel panic value used to unwind ranks after a
 // failure elsewhere in the world.
 type abortedPanic struct{ err error }
+
+// errCancelled is the abort error of a world whose run context was
+// cancelled; RunContext reports context.Cause in its place.
+var errCancelled = errors.New("simmpi: run cancelled")
 
 func (w *World) aborted() error {
 	w.abortMu.Lock()
@@ -132,6 +176,9 @@ func (w *World) aborted() error {
 // budget (propagated via simslot) permits it, and the world is large
 // enough to amortise cross-shard handoffs.
 func defaultShards(ctx context.Context, procs int) int {
+	if schedShards > 0 {
+		return min(schedShards, procs)
+	}
 	avail := runtime.GOMAXPROCS(0)
 	if n, ok := simslot.FromContext(ctx); ok && n < avail {
 		avail = n
@@ -150,12 +197,14 @@ func defaultShards(ctx context.Context, procs int) int {
 
 // RunContext executes body on every rank of a fresh world and
 // aggregates the results. It returns an error if the configuration is
-// invalid or any rank panics. When ctx is cancelled the run aborts
-// through the same mechanism a rank failure uses — every rank unwinds
-// at its next communication operation — and RunContext returns ctx's
-// error. Cancellation only ever turns a run into an error; it cannot
-// change the virtual-time results of a run that completes, so
-// successful runs stay bit-reproducible.
+// invalid or any rank panics. When ctx is cancelled, the next rank to
+// start a communication operation aborts the run through the same
+// mechanism a rank failure uses — every rank unwinds at its next
+// communication operation — and RunContext returns context.Cause(ctx).
+// A run whose ranks all return without another communication operation
+// after the cancel returns its report. Cancellation only ever turns a
+// run into an error; it cannot change the virtual-time results of a run
+// that completes, so successful runs stay bit-reproducible.
 func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Report, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("simmpi: nonpositive proc count %d", cfg.Procs)
@@ -179,43 +228,22 @@ func RunContext(ctx context.Context, cfg Config, body func(*Rank)) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = defaultShards(ctx, cfg.Procs)
-	}
-	if nshards > cfg.Procs {
-		nshards = cfg.Procs
-	}
+	nshards := defaultShards(ctx, cfg.Procs)
 	sp.SetInt("shards", int64(nshards))
 	w := acquireWorld(cfg.Procs, nshards)
 	w.cfg = cfg
 	w.net = net
 	w.body = body
+	w.cancelled = ctx.Done()
 	w.initRanks()
-
-	// A cancelled ctx aborts the world exactly like a rank failure:
-	// blocked ranks wake, see the abort, and unwind; ranks in a
-	// pure-compute stretch notice at their next communication op. The
-	// watcher is skipped entirely for non-cancellable contexts, and
-	// stopWatch guarantees the arena is not recycled until a fired
-	// watcher's abort sweep has finished with it.
-	var wt *watcher
-	if ctx.Done() != nil {
-		wt = w.watchCancel(ctx)
-	}
-
 	w.start()
-
-	if wt != nil {
-		w.stopWatch(wt)
-	}
 	if err := w.aborted(); err != nil {
 		releaseWorld(w)
-		if ctx.Err() != nil {
+		if errors.Is(err, errCancelled) {
 			sp.SetAttr("cancelled", "true")
-		} else {
-			sp.SetAttr("error", err.Error())
+			return nil, context.Cause(ctx)
 		}
+		sp.SetAttr("error", err.Error())
 		return nil, err
 	}
 	rep := buildReport(cfg, net, w.ranks)
