@@ -289,84 +289,78 @@ func benchStudy(id string) func(context.Context, *testing.B) {
 	}
 }
 
-// benchSimP2PThroughput measures the host cost of the virtual-time
-// point-to-point path: 2 ranks, 1000 tagged messages.
-func benchSimP2PThroughput(ctx context.Context, b *testing.B) {
+// benchWorld measures repeated runs of one world. An untimed run first
+// warms what a full-length benchmark amortises (the pooled world arena,
+// idle duty hosts), so a one-iteration run (-benchtime 1x) reports the
+// same steady-state allocs/op as a long one instead of the warm-up.
+func benchWorld(ctx context.Context, b *testing.B, cfg simmpi.Config, body func(*simmpi.Rank)) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := simmpi.RunContext(ctx, simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
-			const msgs = 1000
-			payload := make([]float64, 16)
-			if r.ID() == 0 {
-				for m := 0; m < msgs; m++ {
-					r.Send(1, m, payload)
-				}
-			} else {
-				for m := 0; m < msgs; m++ {
-					r.Recv(0, m)
-				}
-			}
-		})
-		if err != nil {
+	run := func() {
+		if _, err := simmpi.RunContext(ctx, cfg, body); err != nil {
 			b.Fatal(err)
 		}
 	}
+	run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// benchSimP2PThroughput measures the host cost of the virtual-time
+// point-to-point path: 2 ranks, 1000 tagged messages.
+func benchSimP2PThroughput(ctx context.Context, b *testing.B) {
+	benchWorld(ctx, b, simmpi.Config{Machine: machine.Jaguar, Procs: 2}, func(r *simmpi.Rank) {
+		const msgs = 1000
+		payload := make([]float64, 16)
+		if r.ID() == 0 {
+			for m := 0; m < msgs; m++ {
+				r.Send(1, m, payload)
+			}
+		} else {
+			for m := 0; m < msgs; m++ {
+				r.Recv(0, m)
+			}
+		}
+	})
 }
 
 // benchSimAllreduce256 measures the collective rendezvous machinery at
 // width: 256 ranks, 4 rounds of a 64-element allreduce.
 func benchSimAllreduce256(ctx context.Context, b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := simmpi.RunContext(ctx, simmpi.Config{Machine: machine.BGW, Procs: 256}, func(r *simmpi.Rank) {
-			buf := make([]float64, 64)
-			for it := 0; it < 4; it++ {
-				r.Allreduce(r.World(), buf, simmpi.OpSum)
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
+	benchWorld(ctx, b, simmpi.Config{Machine: machine.BGW, Procs: 256}, func(r *simmpi.Rank) {
+		buf := make([]float64, 64)
+		for it := 0; it < 4; it++ {
+			r.Allreduce(r.World(), buf, simmpi.OpSum)
 		}
-	}
+	})
 }
 
 // benchSimCollectives64 exercises the full collective family on one
 // 64-rank world — the mix the AMR ghost-fill and regrid paths lean on.
 func benchSimCollectives64(ctx context.Context, b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := simmpi.RunContext(ctx, simmpi.Config{Machine: machine.Bassi, Procs: 64}, func(r *simmpi.Rank) {
-			w := r.World()
-			// 64 elements so ReduceScatter divides evenly across 64 ranks.
-			buf := make([]float64, 64)
-			r.Barrier(w)
-			r.Bcast(w, 0, buf)
-			r.Allreduce(w, buf, simmpi.OpSum)
-			r.Allgather(w, buf[:4])
-			r.Reduce(w, 0, buf, simmpi.OpMax)
-			parts := make([][]float64, w.Size())
-			for j := range parts {
-				parts[j] = buf[:2]
-			}
-			r.Alltoall(w, parts)
-			r.ReduceScatter(w, buf, simmpi.OpSum)
-		})
-		if err != nil {
-			b.Fatal(err)
+	benchWorld(ctx, b, simmpi.Config{Machine: machine.Bassi, Procs: 64}, func(r *simmpi.Rank) {
+		w := r.World()
+		// 64 elements so ReduceScatter divides evenly across 64 ranks.
+		buf := make([]float64, 64)
+		r.Barrier(w)
+		r.Bcast(w, 0, buf)
+		r.Allreduce(w, buf, simmpi.OpSum)
+		r.Allgather(w, buf[:4])
+		r.Reduce(w, 0, buf, simmpi.OpMax)
+		parts := make([][]float64, w.Size())
+		for j := range parts {
+			parts[j] = buf[:2]
 		}
-	}
+		r.Alltoall(w, parts)
+		r.ReduceScatter(w, buf, simmpi.OpSum)
+	})
 }
 
 // benchSimWorldSpawn1024 measures world startup/teardown: per-run
 // allocation of mailboxes, ranks, and the world communicator.
 func benchSimWorldSpawn1024(ctx context.Context, b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := simmpi.RunContext(ctx, simmpi.Config{Machine: machine.BGW, Procs: 1024}, func(r *simmpi.Rank) {
-			r.Elapse(1e-6)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchWorld(ctx, b, simmpi.Config{Machine: machine.BGW, Procs: 1024}, func(r *simmpi.Rank) {
+		r.Elapse(1e-6)
+	})
 }
