@@ -2,6 +2,7 @@ package hyperclaw
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -367,6 +368,51 @@ func TestTrajectoryReplayBitIdentical(t *testing.T) {
 				t.Fatalf("P=%d: phase %q: replay %v, fresh %v", procs, name, replayed.Phases[name], v)
 			}
 		}
+	}
+}
+
+// TestTrajectoryCacheBounded fills the trajectory cache past its limit
+// while the first recording is still in flight. The map never holds
+// more than trajCacheLimit entries, and the recording whose entry was
+// cleared still publishes its trajectory to the waiters holding it.
+func TestTrajectoryCacheBounded(t *testing.T) {
+	ResetTrajectoryCache()
+	defer ResetTrajectoryCache()
+	ctx := context.Background()
+	_, first := acquireTrajectory(ctx, "first")
+	if first == nil {
+		t.Fatal("an unseen key handed out no recorder")
+	}
+	trajMu.Lock()
+	waiting := trajCache["first"] // what a concurrent waiter holds
+	trajMu.Unlock()
+	for i := 0; i < 2*trajCacheLimit; i++ {
+		_, rec := acquireTrajectory(ctx, fmt.Sprintf("key%d", i))
+		if rec == nil {
+			t.Fatalf("key%d: an unseen key handed out no recorder", i)
+		}
+		rec.publish(true)
+		trajMu.Lock()
+		n := len(trajCache)
+		trajMu.Unlock()
+		if n > trajCacheLimit {
+			t.Fatalf("after %d inserts the cache holds %d entries, limit %d", i+2, n, trajCacheLimit)
+		}
+	}
+	trajMu.Lock()
+	cleared := trajCache["first"] != waiting
+	trajMu.Unlock()
+	if !cleared {
+		t.Fatal("the in-flight entry survived every clear; the test checked nothing")
+	}
+	first.publish(true)
+	select {
+	case <-waiting.done:
+	default:
+		t.Fatal("publishing a cleared entry did not release its waiters")
+	}
+	if waiting.traj != first.traj {
+		t.Fatal("waiters on a cleared entry did not receive its trajectory")
 	}
 }
 

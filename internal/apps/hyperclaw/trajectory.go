@@ -50,6 +50,14 @@ var (
 	trajCache = map[string]*trajEntry{}
 )
 
+// trajCacheLimit bounds the recorded trajectories kept at once: one
+// P=1024 trajectory retains over a hundred thousand tagged cells, and a
+// long-running server records one per distinct (config, P) its clients
+// ask for. Like netmodel.Cached, a full cache is cleared rather than
+// evicted piecemeal. The limit sits at three times the points a full-scale
+// `petasim all` records (10), so a regeneration never records twice.
+const trajCacheLimit = 32
+
 func trajKey(cfg Config, procs int) string {
 	return fmt.Sprintf("%+v|P=%d", cfg, procs)
 }
@@ -95,6 +103,11 @@ func acquireTrajectory(ctx context.Context, key string) (*trajectory, *trajRecor
 		trajMu.Lock()
 		e := trajCache[key]
 		if e == nil {
+			if len(trajCache) >= trajCacheLimit {
+				// In-flight recorders keep their entries and still
+				// publish to the waiters already holding them.
+				clear(trajCache)
+			}
 			e = &trajEntry{done: make(chan struct{})}
 			trajCache[key] = e
 			trajMu.Unlock()
