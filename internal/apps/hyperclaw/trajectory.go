@@ -54,8 +54,9 @@ var (
 // P=1024 trajectory retains over a hundred thousand tagged cells, and a
 // long-running server records one per distinct (config, P) its clients
 // ask for. Like netmodel.Cached, a full cache is cleared rather than
-// evicted piecemeal. The limit sits at three times the points a full-scale
-// `petasim all` records (10), so a regeneration never records twice.
+// evicted piecemeal. The limit is three times the 10 points a
+// full-scale `petasim all` records, so a regeneration never records
+// one twice.
 const trajCacheLimit = 32
 
 func trajKey(cfg Config, procs int) string {

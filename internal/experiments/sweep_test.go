@@ -228,9 +228,9 @@ func TestSweepPlanStreamDeliversEveryPoint(t *testing.T) {
 func TestSweepCancelMidRunReturnsPromptlyWithoutLeaks(t *testing.T) {
 	// Fill simmpi's pool of duty hosts: they park there after a run by
 	// design, so a cold baseline would misread the sweep's first worlds
-	// as a leak. Two 256-rank worlds, one per pool worker, are held with
-	// all but their last rank parked until both are, which is the most
-	// hosts the sweep below can pin at once.
+	// as a leak. Two 256-rank worlds, one per pool worker and each as
+	// wide as the sweep's widest point, are held with all but their last
+	// rank parked until both are.
 	release := make(chan struct{})
 	entered := make(chan struct{}, 2)
 	warmDone := make(chan error, 2)
