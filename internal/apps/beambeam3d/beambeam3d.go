@@ -252,7 +252,7 @@ func wrap01(x float64) float64 {
 // charge density. The actual data uses an allreduce (bit-exact); the cost
 // is charged at the particle-field decomposition's nominal volume.
 func (s *State) depositAndGather() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	for b := 0; b < 2; b++ {
 		for i := range s.rho[b] {
 			s.rho[b][i] = 0
@@ -266,20 +266,20 @@ func (s *State) depositAndGather() {
 	}
 	nomPerRank := s.cfg.NomParticles / float64(s.r.N())
 	s.r.Compute(DepositKernel, nomPerRank*depositFlops*2)
-	s.r.AddPhase("deposit", s.r.Now()-t0)
+	s.r.EndPhase("deposit", m0)
 
-	t1 := s.r.Now()
+	m1 := s.r.MarkPhase()
 	for b := 0; b < 2; b++ {
 		sum := s.r.AllreduceNominal(s.r.World(), s.rho[b], simmpi.OpSum, s.nomXferBytes)
 		copy(s.rho[b], sum)
 	}
-	s.r.AddPhase("gather", s.r.Now()-t1)
+	s.r.EndPhase("gather", m1)
 }
 
 // solveFields runs the Hockney FFT Poisson solve for both beams on the
 // field communicator, then broadcasts the transverse fields to all ranks.
 func (s *State) solveFields() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	nx, ny, nz := s.cfg.NX, s.cfg.NY, s.cfg.NZ
 	n := nx * ny * nz
 	for b := 0; b < 2; b++ {
@@ -356,7 +356,7 @@ func (s *State) solveFields() {
 			}
 		}
 	}
-	s.r.AddPhase("fft-solve", s.r.Now()-t0)
+	s.r.EndPhase("fft-solve", m0)
 }
 
 func waveNumber(i, n int) float64 {
@@ -369,7 +369,7 @@ func waveNumber(i, n int) float64 {
 // kickAndMap applies the beam-beam kick (beam 0 feels beam 1's field and
 // vice versa) followed by the linear transfer map (betatron rotation).
 func (s *State) kickAndMap() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	const dt = 0.05
 	c, sn := math.Cos(s.phase), math.Sin(s.phase)
 	for b := 0; b < 2; b++ {
@@ -396,7 +396,7 @@ func (s *State) kickAndMap() {
 	nomPerRank := s.cfg.NomParticles / float64(s.r.N())
 	s.r.Compute(KickKernel, nomPerRank*kickFlops*2)
 	s.r.Compute(MapKernel, nomPerRank*mapFlops*2)
-	s.r.AddPhase("push", s.r.Now()-t0)
+	s.r.EndPhase("push", m0)
 }
 
 // Step advances one collision step.

@@ -366,17 +366,17 @@ func clampI(i, n int) int {
 // sync refreshes ghosts and applies physical boundaries for the given
 // field set, charging the exchange and BC costs.
 func (s *State) sync(fields []*grid.Field) {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	s.ex.Exchange(fields...)
-	s.r.AddPhase("exchange", s.r.Now()-t0)
+	s.r.EndPhase("exchange", m0)
 	if !s.cfg.Periodic {
-		t1 := s.r.Now()
+		m1 := s.r.MarkPhase()
 		s.applyRadiationBC(fields)
 		s.applySponge(fields)
 		if s.nomBCPoints > 0 {
 			s.r.Compute(BCKernel, s.nomBCPoints*BCFlopsPerPoint*float64(len(fields))/(2*NComp))
 		}
-		s.r.AddPhase("radbc", s.r.Now()-t1)
+		s.r.EndPhase("radbc", m1)
 	}
 }
 
@@ -387,7 +387,7 @@ func (s *State) Step() {
 	allPhi := append(append([]*grid.Field{}, s.phi[:]...), s.pi[:]...)
 	s.sync(allPhi)
 
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	// Stage 1: tmp = u + dt·RHS(u).
 	s.rhs(s.phi, s.pi, s.dphi, s.dpi)
 	for c := 0; c < NComp; c++ {
@@ -395,12 +395,12 @@ func (s *State) Step() {
 		stageUpdate(s.tmpP[c], s.pi[c], s.dpi[c], s.dt)
 	}
 	s.r.Compute(EvolveKernel, s.nomPointsPerRank*FlopsPerPoint/2)
-	s.r.AddPhase("rhs", s.r.Now()-t0)
+	s.r.EndPhase("rhs", m0)
 
 	allTmp := append(append([]*grid.Field{}, s.tmpF[:]...), s.tmpP[:]...)
 	s.sync(allTmp)
 
-	t1 := s.r.Now()
+	m1 := s.r.MarkPhase()
 	// Stage 2: u ← ½u + ½(tmp + dt·RHS(tmp)).
 	s.rhs(s.tmpF, s.tmpP, s.dphi, s.dpi)
 	for c := 0; c < NComp; c++ {
@@ -408,7 +408,7 @@ func (s *State) Step() {
 		heunUpdate(s.pi[c], s.tmpP[c], s.dpi[c], s.dt)
 	}
 	s.r.Compute(EvolveKernel, s.nomPointsPerRank*FlopsPerPoint/2)
-	s.r.AddPhase("rhs", s.r.Now()-t1)
+	s.r.EndPhase("rhs", m1)
 }
 
 func stageUpdate(dst, u, du *grid.Field, dt float64) {

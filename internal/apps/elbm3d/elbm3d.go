@@ -213,11 +213,11 @@ func entropicAlpha(f, delta *[Q]float64) float64 {
 // pull-streaming + entropic collision. The virtual clock is charged at
 // nominal scale.
 func (s *State) Step(r *simmpi.Rank) {
-	t0 := r.Now()
+	m0 := r.MarkPhase()
 	s.ex.Exchange(s.f[:]...)
-	r.AddPhase("exchange", r.Now()-t0)
+	r.EndPhase("exchange", m0)
 
-	t1 := r.Now()
+	m1 := r.MarkPhase()
 	lx, ly, lz := s.f[0].LX, s.f[0].LY, s.f[0].LZ
 	for k := 0; k < lz; k++ {
 		for j := 0; j < ly; j++ {
@@ -249,7 +249,7 @@ func (s *State) Step(r *simmpi.Rank) {
 	}
 	s.f, s.fNext = s.fNext, s.f
 	r.Compute(s.kernel, s.nomCellsPerRank*FlopsPerCell)
-	r.AddPhase("collide", r.Now()-t1)
+	r.EndPhase("collide", m1)
 }
 
 // Moments returns the rank-local total mass and momentum (for

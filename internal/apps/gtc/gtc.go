@@ -176,9 +176,8 @@ const particleWords = 7
 
 // State is the per-rank PIC state.
 type State struct {
-	cfg  Config
-	r    *simmpi.Rank
-	spec machine.Spec
+	cfg Config
+	r   *simmpi.Rank
 
 	domain, pidx int // toroidal domain and particle-decomposition index
 	ppd          int // ranks per domain
@@ -210,7 +209,7 @@ func NewState(r *simmpi.Rank, cfg Config) (*State, error) {
 	}
 	ppd := r.N() / cfg.Domains
 	s := &State{
-		cfg: cfg, r: r, spec: r.Machine(),
+		cfg: cfg, r: r,
 		domain: r.ID() / ppd, pidx: r.ID() % ppd, ppd: ppd,
 		edge:     cfg.ActualPlaneEdge,
 		rngState: uint64(cfg.Seed)*2654435761 + uint64(r.ID())*40503 + 1,
@@ -303,7 +302,7 @@ func (s *State) cic(x, y float64) (i0, j0, i1, j1 int, w00, w01, w10, w11 float6
 // allreduces over the domain communicator so every copy holds the
 // domain's full charge.
 func (s *State) Scatter() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	for i := range s.rho {
 		s.rho[i] = 0
 	}
@@ -315,22 +314,22 @@ func (s *State) Scatter() {
 		s.rho[j1*s.edge+i1] += p.W * w11
 	}
 	s.r.Compute(s.kernels.scatter, s.cfg.NomParticlesPerRank*scatterFlops)
-	s.r.AddPhase("scatter", s.r.Now()-t0)
+	s.r.EndPhase("scatter", m0)
 
-	t1 := s.r.Now()
+	m1 := s.r.MarkPhase()
 	if s.ppd > 1 {
 		sum := s.r.AllreduceNominal(s.domainComm, s.rho, simmpi.OpSum,
 			float64(s.cfg.NomPlaneCells)*8)
 		copy(s.rho, sum)
 	}
-	s.r.AddPhase("allreduce", s.r.Now()-t1)
+	s.r.EndPhase("allreduce", m1)
 }
 
 // Solve runs the poloidal-plane Poisson solve (Jacobi iterations on this
 // rank's copy, exactly as GTC solves redundantly per processor) and
 // differentiates the potential into the plane field.
 func (s *State) Solve() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	n := s.edge
 	h2 := 1.0 / float64(n*n)
 	mean := 0.0
@@ -360,7 +359,7 @@ func (s *State) Solve() {
 	}
 	s.r.Compute(s.kernels.poisson,
 		float64(s.cfg.NomPlaneCells)*poissonFlopsPerCellIter*(poissonIters+1))
-	s.r.AddPhase("solve", s.r.Now()-t0)
+	s.r.EndPhase("solve", m0)
 }
 
 // GatherPush interpolates the field to each particle and advances it: the
@@ -368,7 +367,7 @@ func (s *State) Solve() {
 // sin/cos of the §3.1 math-library story), and the parallel velocity
 // advects the particle toroidally.
 func (s *State) GatherPush() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	dt := s.dt
 	for idx := range s.parts {
 		p := &s.parts[idx]
@@ -389,7 +388,7 @@ func (s *State) GatherPush() {
 	}
 	s.r.Compute(s.kernels.gather, s.cfg.NomParticlesPerRank*gatherFlops)
 	s.r.Compute(s.kernels.push, s.cfg.NomParticlesPerRank*pushFlops)
-	s.r.AddPhase("push", s.r.Now()-t0)
+	s.r.EndPhase("push", m0)
 }
 
 func wrap(x float64) float64 {
@@ -420,7 +419,7 @@ func (s *State) ringRank(dir int) int {
 // neighbours, in both toroidal directions (the dominant point-to-point
 // pattern of Figure 1a).
 func (s *State) Shift() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	var stay, right, left []Particle
 	for _, p := range s.parts {
 		switch {
@@ -444,7 +443,7 @@ func (s *State) Shift() {
 		stay = append(stay, unpackParticles(fromRight)...)
 	}
 	s.parts = stay
-	s.r.AddPhase("shift", s.r.Now()-t0)
+	s.r.EndPhase("shift", m0)
 }
 
 // forwardDistance reports whether moving from domain a to b is shorter

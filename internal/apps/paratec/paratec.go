@@ -307,7 +307,7 @@ func (s *State) chargeIteration() {
 	// coefficients across the machine, not the dense grid. Blocking
 	// packs BlockBands bands per exchange (larger messages, fewer
 	// latencies — the §7.1 trade).
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	world := s.r.World()
 	p2 := p * p
 	block := 1
@@ -317,20 +317,20 @@ func (s *State) chargeIteration() {
 	exchanges := int(math.Ceil(nb/float64(block))) * 2
 	pair := 16 * s.nomPW * float64(block) / p2
 	s.r.ChargeAlltoallN(world, pair, exchanges)
-	s.r.AddPhase("fft-transpose", s.r.Now()-t0)
+	s.r.EndPhase("fft-transpose", m0)
 }
 
 // Iterate performs one all-band steepest-descent iteration with
 // re-orthonormalisation and returns the total band energy.
 func (s *State) Iterate() float64 {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	var localE float64
 	if s.plan != nil {
 		for b := range s.psi {
 			localE += s.descend(s.psi[b])
 		}
 	}
-	s.r.AddPhase("applyH", s.r.Now()-t0)
+	s.r.EndPhase("applyH", m0)
 	s.Orthonormalize()
 	s.chargeIteration()
 	// Energy reduction across the world (non-solver ranks contribute 0).
@@ -340,7 +340,7 @@ func (s *State) Iterate() float64 {
 // Orthonormalize restores Ψ†Ψ = I via Gram, Cholesky and a triangular
 // solve — PARATEC's BLAS3 backbone.
 func (s *State) Orthonormalize() {
-	t0 := s.r.Now()
+	m0 := s.r.MarkPhase()
 	nb := s.cfg.Bands
 	var local []float64
 	if s.plan != nil {
@@ -377,7 +377,7 @@ func (s *State) Orthonormalize() {
 			}
 		}
 	}
-	s.r.AddPhase("orthonormalize", s.r.Now()-t0)
+	s.r.EndPhase("orthonormalize", m0)
 }
 
 // GramMatrix returns the current global overlap matrix (for tests).

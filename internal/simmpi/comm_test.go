@@ -12,8 +12,8 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 	_, err := RunContext(context.Background(), testCfg(8), func(r *Rank) {
 		r.Elapse(float64(r.ID()) * 1e-3) // skewed clocks
 		r.Barrier(r.World())
-		if r.Now() < 7e-3 {
-			t.Errorf("rank %d left barrier at %g, before slowest entrant", r.ID(), r.Now())
+		if r.clock.Now() < 7e-3 {
+			t.Errorf("rank %d left barrier at %g, before slowest entrant", r.ID(), r.clock.Now())
 		}
 	})
 	if err != nil {
@@ -262,8 +262,8 @@ func TestCollectiveAdvancesToSlowestEntrant(t *testing.T) {
 		skew := float64(r.ID()) * 0.25
 		r.Elapse(skew)
 		r.Allreduce(r.World(), []float64{1}, OpSum)
-		if r.Now() < 0.75 {
-			t.Errorf("rank %d exited collective at %g, before slowest entry 0.75", r.ID(), r.Now())
+		if r.clock.Now() < 0.75 {
+			t.Errorf("rank %d exited collective at %g, before slowest entry 0.75", r.ID(), r.clock.Now())
 		}
 	})
 	if err != nil {
@@ -325,9 +325,9 @@ func TestLoadImbalanceReported(t *testing.T) {
 
 func TestPhaseAccounting(t *testing.T) {
 	rep, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
-		t0 := r.Now()
+		m := r.MarkPhase()
 		r.Elapse(0.5)
-		r.AddPhase("solve", r.Now()-t0)
+		r.EndPhase("solve", m)
 	})
 	if err != nil {
 		t.Fatal(err)

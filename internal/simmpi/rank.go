@@ -4,9 +4,71 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/netmodel"
 	"repro/internal/perfmodel"
 	"repro/internal/vtime"
 )
+
+// acct is one rank's virtual clock and accounting. A running rank and
+// the op-log pricer (oplog.go) advance it through the same methods, so a
+// priced Report equals the run's bit for bit.
+type acct struct {
+	clock  vtime.Clock
+	flops  float64
+	compT  vtime.Seconds
+	commT  vtime.Seconds
+	sent   float64 // nominal bytes sent point-to-point
+	nmsgs  int64
+	phases map[string]vtime.Seconds // lazy; reused across pooled worlds
+}
+
+// compute charges flops of kernel k on spec.
+func (a *acct) compute(spec machine.Spec, k perfmodel.Kernel, flops float64) {
+	t := perfmodel.Time(spec, k, flops)
+	a.clock.Advance(t)
+	a.compT += t
+	a.flops += flops
+}
+
+// elapse charges d of busy time that performs no arithmetic.
+func (a *acct) elapse(d vtime.Seconds) {
+	a.clock.Advance(d)
+	a.compT += d
+}
+
+// send charges the sender's side of one message from src to dst and
+// returns the message's arrival instant.
+func (a *acct) send(net *netmodel.Model, src, dst int, nomBytes float64) vtime.Seconds {
+	occ, delay := net.P2P(src, dst, nomBytes)
+	depart := a.clock.Now()
+	a.clock.Advance(occ)
+	a.commT += occ
+	a.sent += nomBytes
+	a.nmsgs++
+	return depart + delay
+}
+
+// recv charges the receipt of a message arriving at instant arrive.
+func (a *acct) recv(net *netmodel.Model, arrive vtime.Seconds) {
+	before := a.clock.Now()
+	a.clock.AdvanceTo(arrive)
+	a.clock.Advance(net.RecvOverhead())
+	a.commT += a.clock.Now() - before
+}
+
+// leave charges a collective entered at entry and finishing at finish.
+func (a *acct) leave(entry, finish vtime.Seconds) {
+	a.clock.AdvanceTo(finish)
+	a.commT += a.clock.Now() - entry
+}
+
+// endPhase attributes the time since the instant at to a named phase.
+func (a *acct) endPhase(name string, at vtime.Seconds) {
+	if a.phases == nil {
+		a.phases = make(map[string]vtime.Seconds)
+	}
+	a.phases[name] += a.clock.Now() - at
+}
 
 // Rank is one simulated MPI process. All methods must be called from the
 // rank's body function (which the scheduler runs as a coroutine).
@@ -24,13 +86,9 @@ type Rank struct {
 	readyAt vtime.Seconds
 	resume  chan struct{}
 
-	clock  vtime.Clock
-	flops  float64
-	compT  vtime.Seconds
-	commT  vtime.Seconds
-	sent   float64 // nominal bytes sent point-to-point
-	nmsgs  int64
-	phases map[string]vtime.Seconds // lazy; reused across pooled worlds
+	acct
+	depth int32    // open phase marks
+	log   *rankLog // this rank's op log while recording, else nil
 }
 
 // ID returns the world rank number.
@@ -39,14 +97,8 @@ func (r *Rank) ID() int { return r.id }
 // N returns the world size.
 func (r *Rank) N() int { return r.w.procs }
 
-// Machine returns the platform spec of the run.
-func (r *Rank) Machine() machine.Spec { return r.w.cfg.Machine }
-
 // World returns the world communicator.
 func (r *Rank) World() *Comm { return r.world }
-
-// Now returns the rank's current virtual time.
-func (r *Rank) Now() vtime.Seconds { return r.clock.Now() }
 
 // checkAbort unwinds this rank if the world has aborted, aborting it
 // first if the run's context is cancelled. Every send, receive and
@@ -72,25 +124,52 @@ func (r *Rank) Compute(k perfmodel.Kernel, flops float64) {
 	if flops <= 0 {
 		return
 	}
-	t := perfmodel.Time(r.w.cfg.Machine, k, flops)
-	r.clock.Advance(t)
-	r.compT += t
-	r.flops += flops
+	r.compute(r.w.cfg.Machine, k, flops)
+	if l := r.log; l != nil {
+		l.add(opCompute, l.kernel(k), flops)
+	}
 }
 
 // Elapse advances the clock without crediting flops — used for modelled
 // overheads that perform no arithmetic (e.g. data movement phases).
 func (r *Rank) Elapse(d vtime.Seconds) {
-	r.clock.Advance(d)
-	r.compT += d
+	r.elapse(d)
+	if l := r.log; l != nil {
+		l.add(opElapse, 0, d)
+	}
 }
 
-// AddPhase attributes a duration to a named phase for reporting.
-func (r *Rank) AddPhase(name string, d vtime.Seconds) {
-	if r.phases == nil {
-		r.phases = make(map[string]vtime.Seconds)
+// PhaseMark is an open phase: the instant and nesting depth at which
+// MarkPhase was called.
+type PhaseMark struct {
+	at    vtime.Seconds
+	depth int32
+}
+
+// MarkPhase opens a phase interval; pass the mark to EndPhase to close
+// it. Phases may nest.
+func (r *Rank) MarkPhase() PhaseMark {
+	m := PhaseMark{at: r.clock.Now(), depth: r.depth}
+	r.depth++
+	if l := r.log; l != nil {
+		l.add(opMark, 0, 0)
 	}
-	r.phases[name] += d
+	return m
+}
+
+// EndPhase attributes the virtual time since m to the named phase for
+// reporting, closing m and any mark opened after it.
+func (r *Rank) EndPhase(name string, m PhaseMark) {
+	if l := r.log; l != nil {
+		if m.depth >= r.depth {
+			// Closing a mark already closed: the interval is not nested,
+			// so the pricer's mark stack cannot replay it.
+			l.rec.fail()
+		}
+		l.add(opEnd, l.phase(name), float64(m.depth))
+	}
+	r.depth = m.depth
+	r.endPhase(name, m.at)
 }
 
 // GetBuf returns a zero-length scratch slice with capacity ≥ n from the
@@ -132,19 +211,18 @@ func (r *Rank) SendOwnedNominal(dst, tag int, data []float64, nomBytes float64) 
 		panic(fmt.Sprintf("simmpi: rank %d sends to invalid rank %d", r.id, dst))
 	}
 	w := r.w
-	occ, delay := w.net.P2P(r.id, dst, nomBytes)
-	depart := r.clock.Now()
-	r.clock.Advance(occ)
-	r.commT += occ
-	r.sent += nomBytes
-	r.nmsgs++
+	seq := r.nmsgs
+	arrive := r.send(w.net, r.id, dst, nomBytes)
+	if l := r.log; l != nil {
+		l.add(opSend, int32(dst), nomBytes)
+	}
 	if c := w.cfg.Collector; c != nil {
 		c.RecordP2P(r.id, dst, nomBytes)
 	}
 	k := msgKey{src: r.id, tag: tag}
 	mb := &w.mail[dst]
 	mb.mu.Lock()
-	mb.push(k, message{data: data, arrive: depart + delay})
+	mb.push(k, message{data: data, arrive: arrive, seq: seq})
 	if mb.waiting && mb.waitKey == k {
 		w.wake(mb.owner)
 	}
@@ -168,10 +246,10 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	for {
 		if msg, ok := mb.take(k); ok {
 			mb.mu.Unlock()
-			before := r.clock.Now()
-			r.clock.AdvanceTo(msg.arrive)
-			r.clock.Advance(w.net.RecvOverhead())
-			r.commT += r.clock.Now() - before
+			r.recv(w.net, msg.arrive)
+			if l := r.log; l != nil {
+				l.add(opRecv, int32(src), float64(msg.seq))
+			}
 			return msg.data
 		}
 		if w.abortFlag.Load() {
@@ -197,25 +275,4 @@ func (r *Rank) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []fl
 func (r *Rank) SendrecvNominal(dst, sendTag int, data []float64, src, recvTag int, nomBytes float64) []float64 {
 	r.SendNominal(dst, sendTag, data, nomBytes)
 	return r.Recv(src, recvTag)
-}
-
-// Stats snapshots the rank's accounting (used by the report builder).
-type rankStats struct {
-	clock vtime.Seconds
-	flops float64
-	compT vtime.Seconds
-	commT vtime.Seconds
-	sent  float64
-	nmsgs int64
-}
-
-func (r *Rank) stats() rankStats {
-	return rankStats{
-		clock: r.clock.Now(),
-		flops: r.flops,
-		compT: r.compT,
-		commT: r.commT,
-		sent:  r.sent,
-		nmsgs: r.nmsgs,
-	}
 }

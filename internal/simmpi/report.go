@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/netmodel"
 	"repro/internal/vtime"
 )
 
@@ -35,37 +34,37 @@ type Report struct {
 	LoadImbalance float64
 }
 
-func buildReport(cfg Config, net *netmodel.Model, ranks []*Rank) *Report {
+// buildReport aggregates one run's per-rank accounts, in rank order.
+func buildReport(cfg Config, accts []*acct) *Report {
 	rep := &Report{
 		Machine: cfg.Machine.Name,
 		Procs:   cfg.Procs,
 		Phases:  make(map[string]vtime.Seconds),
 	}
 	var sumComm, sumBusy, maxBusy vtime.Seconds
-	for _, r := range ranks {
-		st := r.stats()
-		if st.clock > rep.Wall {
-			rep.Wall = st.clock
+	for _, a := range accts {
+		if t := a.clock.Now(); t > rep.Wall {
+			rep.Wall = t
 		}
-		rep.TotalFlops += st.flops
-		rep.BytesSent += st.sent
-		rep.Messages += st.nmsgs
-		sumComm += st.commT
-		sumBusy += st.compT
-		if st.compT > maxBusy {
-			maxBusy = st.compT
+		rep.TotalFlops += a.flops
+		rep.BytesSent += a.sent
+		rep.Messages += a.nmsgs
+		sumComm += a.commT
+		sumBusy += a.compT
+		if a.compT > maxBusy {
+			maxBusy = a.compT
 		}
-		for name, d := range r.phases {
+		for name, d := range a.phases {
 			if d > rep.Phases[name] {
 				rep.Phases[name] = d
 			}
 		}
 	}
-	n := float64(len(ranks))
+	n := float64(len(accts))
 	if rep.Wall > 0 {
 		rep.CommFrac = sumComm / n / rep.Wall
-		for _, r := range ranks {
-			if f := r.stats().commT / rep.Wall; f > rep.MaxCommFrac {
+		for _, a := range accts {
+			if f := a.commT / rep.Wall; f > rep.MaxCommFrac {
 				rep.MaxCommFrac = f
 			}
 		}

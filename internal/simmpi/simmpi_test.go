@@ -209,8 +209,8 @@ func TestVirtualTimeCausality(t *testing.T) {
 			r.Send(1, 0, []float64{1})
 		} else {
 			r.Recv(0, 0)
-			if r.Now() < 1.0 {
-				t.Errorf("receiver clock %g did not advance past sender's send time", r.Now())
+			if r.clock.Now() < 1.0 {
+				t.Errorf("receiver clock %g did not advance past sender's send time", r.clock.Now())
 			}
 		}
 	})
