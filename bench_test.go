@@ -18,6 +18,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/hyperclaw"
 	"repro/internal/benchtraj"
 	"repro/internal/experiments"
@@ -78,6 +79,7 @@ func BenchmarkAllFiguresSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		hyperclaw.ResetTrajectoryCache()
+		apps.ResetLogCache()
 		opts := experiments.Options{Quick: true, MaxProcs: 64,
 			Runner: &runner.Pool{Workers: 1}}
 		if figs, err := experiments.AllFigures(b.Context(), opts); err != nil || len(figs) != 6 {

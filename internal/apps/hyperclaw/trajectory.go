@@ -12,10 +12,13 @@ import (
 // steps, and the density-gradient regrid tags — depends only on the
 // problem configuration and the rank count, never on the machine being
 // modelled: the machine spec (and rank mapping) enters the simulation
-// exclusively through the communication and compute cost model. Figure 8
-// therefore recomputes an identical PDE trajectory once per machine
-// column, and the optimisation studies re-run it per ablation variant
-// that only re-costs the same physics.
+// exclusively through the communication and compute cost model. A point
+// run through apps.RunPoint prices its recorded op log when one is held,
+// but the optimisation studies call Run directly, and a full-scale
+// point's log outgrows that cache (one P=1024 log is tens of
+// megabytes): those runs would recompute an identical PDE trajectory
+// once per machine column or ablation variant that only re-costs the
+// same physics.
 //
 // trajectory captures the few field-derived values the metadata side of
 // a run actually consumes, so that repeat runs at the same (config,

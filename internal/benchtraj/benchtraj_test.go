@@ -278,6 +278,44 @@ func TestGateSimAllocsHaveNoFloor(t *testing.T) {
 	}
 }
 
+// TestGateSimBytesPerOp pins the B/op gate: every entry reports its
+// B/op delta, and a Sim*-prefixed entry whose B/op doubles fails under
+// the SimAllocFrac band even with its allocs/op unchanged, while an
+// equally grown non-Sim entry is reported but not gated.
+func TestGateSimBytesPerOp(t *testing.T) {
+	old := &Record{
+		Schema: SchemaVersion,
+		Benchmarks: []Benchmark{
+			{Name: "SimP2PThroughput", NsPerOp: 1e5, BytesPerOp: 20000, AllocsPerOp: 10},
+			{Name: "Hot", NsPerOp: 1e6, BytesPerOp: 20000, AllocsPerOp: 1000},
+		},
+	}
+	bad := &Record{
+		Schema: SchemaVersion,
+		Benchmarks: []Benchmark{
+			{Name: "SimP2PThroughput", NsPerOp: 1e5, BytesPerOp: 40000, AllocsPerOp: 10},
+			{Name: "Hot", NsPerOp: 1e6, BytesPerOp: 40000, AllocsPerOp: 1000},
+		},
+	}
+	deltas, err := Compare(old, bad, DefaultThresholds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := map[string]bool{}
+	for _, d := range deltas {
+		if d.Metric == "B/op" {
+			reported[d.Name] = true
+		}
+	}
+	if !reported["SimP2PThroughput"] || !reported["Hot"] {
+		t.Fatalf("B/op deltas missing: %v", deltas)
+	}
+	regs := Regressions(deltas)
+	if len(regs) != 1 || regs[0].Name != "SimP2PThroughput" || regs[0].Metric != "B/op" {
+		t.Fatalf("want exactly the Sim* B/op regression, got %v", regs)
+	}
+}
+
 func TestCompareRejectsSchemaMismatch(t *testing.T) {
 	old := baselineRecord()
 	old.Schema = SchemaVersion + 1

@@ -24,11 +24,13 @@ type Thresholds struct {
 	// MinAllocs exempts benchmarks allocating fewer than this many
 	// objects per op from allocation gating.
 	MinAllocs int64
-	// SimAllocFrac fails a Sim*-prefixed benchmark whose allocs/op grew
-	// by more than this fraction, with no MinAllocs exemption. The
-	// simmpi substrate entries are exactly the ones whose allocation
+	// SimAllocFrac fails a Sim*-prefixed benchmark whose allocs/op or
+	// B/op grew by more than this fraction, with no MinAllocs exemption.
+	// The simmpi substrate entries are exactly the ones whose allocation
 	// counts the pooled core pins down — a world spawn at 3 allocs/op
-	// must not silently creep back to 300 under the general floor.
+	// must not silently creep back to 300 under the general floor, nor a
+	// message grow its bytes while keeping its count. Other entries'
+	// B/op is reported, not gated.
 	SimAllocFrac float64
 	// HeadlineFrac fails the record when the cold AllFigures wall time
 	// grew by more than this fraction.
@@ -53,7 +55,7 @@ func DefaultThresholds() Thresholds {
 type Delta struct {
 	// Name is the benchmark ("(headline)" for the cold-AllFigures row).
 	Name string `json:"name"`
-	// Metric is "ns/op", "allocs/op", or "cold_all_figures_ns".
+	// Metric is "ns/op", "allocs/op", "B/op", or "cold_all_figures_ns".
 	Metric string  `json:"metric"`
 	Old    float64 `json:"old"`
 	New    float64 `json:"new"`
@@ -111,6 +113,13 @@ func Compare(old, new *Record, th Thresholds) ([]Delta, error) {
 				frac, floor = th.SimAllocFrac, 0
 			}
 			d.Regressed = frac > 0 && ob.AllocsPerOp >= floor && d.Frac > frac
+			out = append(out, d)
+		}
+		if ob.BytesPerOp > 0 {
+			d := Delta{Name: nb.Name, Metric: "B/op",
+				Old: float64(ob.BytesPerOp), New: float64(nb.BytesPerOp)}
+			d.Frac = (d.New - d.Old) / d.Old
+			d.Regressed = th.SimAllocFrac > 0 && strings.HasPrefix(nb.Name, "Sim") && d.Frac > th.SimAllocFrac
 			out = append(out, d)
 		}
 	}

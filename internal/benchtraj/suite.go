@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/beambeam3d"
 	"repro/internal/apps/cactus"
 	"repro/internal/apps/elbm3d"
@@ -211,6 +212,7 @@ func benchAllFiguresCold(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		hyperclaw.ResetTrajectoryCache()
+		apps.ResetLogCache()
 		opts := experiments.Options{Quick: true, MaxProcs: 64,
 			Runner: &runner.Pool{Workers: runtime.GOMAXPROCS(0)}}
 		if figs, err := experiments.AllFigures(ctx, opts); err != nil || len(figs) != 6 {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -243,6 +244,27 @@ func (s *Server) initObs() {
 	reg.GaugeFunc("petasim_simmpi_idle_hosts", "Pooled scheduler hosts parked idle.",
 		func() []obs.Sample {
 			return []obs.Sample{{Value: float64(simmpi.IdleHosts())}}
+		})
+
+	// Record once, price per machine: the op logs RunPoint holds, and
+	// how each point's lookup went.
+	reg.GaugeFunc("petasim_oplog_cache_entries", "Op logs held by RunPoint's record-once cache.",
+		func() []obs.Sample {
+			return []obs.Sample{{Value: float64(apps.LogCache().Entries)}}
+		})
+	reg.GaugeFunc("petasim_oplog_cache_bytes", "Bytes of the op logs held.",
+		func() []obs.Sample {
+			return []obs.Sample{{Value: float64(apps.LogCache().Bytes)}}
+		})
+	reg.CounterFunc("petasim_oplog_lookups_total",
+		"Simulated points by op-log outcome: priced (hit), recorded (miss) or run unrecorded (bypass).",
+		func() []obs.Sample {
+			st := apps.LogCache()
+			return []obs.Sample{
+				{Value: float64(st.Hits), Labels: []obs.Label{{Key: "result", Val: "hit"}}},
+				{Value: float64(st.Misses), Labels: []obs.Label{{Key: "result", Val: "miss"}}},
+				{Value: float64(st.Bypasses), Labels: []obs.Label{{Key: "result", Val: "bypass"}}},
+			}
 		})
 
 	// The sink's own health: how many traces are retained vs published.
