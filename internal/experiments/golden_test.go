@@ -53,26 +53,49 @@ func TestGoldenFigures(t *testing.T) {
 			if err := fig.RenderChart(&buf, "gflops"); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", b.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (regenerate with -update): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("%s output diverged from golden:\n--- got ---\n%s--- want ---\n%s",
-					b.name, firstDiffContext(buf.String(), string(want)), string(want))
-			}
+			checkGolden(t, b.name, buf.Bytes())
 		})
 	}
+}
+
+// checkGolden compares got against testdata/<name>.golden, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s output diverged from golden:\n--- got ---\n%s--- want ---\n%s",
+			name, firstDiffContext(string(got), string(want)), string(want))
+	}
+}
+
+// TestGoldenFig1 pins Figure 1 byte-for-byte: the six topology panels
+// in registry order, exactly what `petasim fig1` writes. Regenerate with
+//
+//	go test ./internal/experiments -run TestGoldenFig1 -update
+func TestGoldenFig1(t *testing.T) {
+	results, err := Fig1Rendered(context.Background(), goldenOpts(), 64, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, r := range results {
+		buf.WriteString(r.Output)
+	}
+	checkGolden(t, "figure1", buf.Bytes())
 }
 
 // firstDiffContext trims the got-output to the region around the first
