@@ -42,7 +42,7 @@
 //	-mem-cache N  in-memory LRU over N results in front of -cache (0 disables)
 //	-csv DIR      also write each experiment's points as CSV into DIR
 //	-json DIR     also write each experiment's points as JSON into DIR
-//	-commtopo-p N concurrency for fig1 (default 64)
+//	-commtopo-p N concurrency for fig1 (default 64, at most 4096)
 //	-spec FILE    load a custom machine spec file (repeatable)
 //	-app LIST     sweep: comma-separated workloads (default: all registered); whatif: exactly one
 //	-machine LIST sweep/whatif: comma-separated platforms (default: the full testbed)
@@ -175,7 +175,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "serve: listen address")
 	csvDir := flag.String("csv", "", "write experiment CSVs into this directory")
 	jsonDir := flag.String("json", "", "write experiment JSON records into this directory")
-	commP := flag.Int("commtopo-p", 64, "concurrency for the fig1 topology capture")
+	commP := flag.Int("commtopo-p", 64, "concurrency for the fig1 topology capture (at most 4096)")
 	var specFiles multiFlag
 	flag.Var(&specFiles, "spec", "custom machine spec file (repeatable)")
 	appList := flag.String("app", "", "sweep: comma-separated workload names (whatif requires exactly one)")

@@ -1,44 +1,35 @@
-// Package commmatrix records communication structure and intensity
-// during a simulated run. Its main product is the interprocessor
-// communication matrix — bytes exchanged between every pair of ranks —
-// which regenerates the topology/intensity plots of the paper's
-// Figure 1 (bottom row).
+// Package commmatrix folds one simulated run's communication into the
+// interprocessor communication matrix — bytes exchanged between every
+// pair of ranks — which regenerates the topology/intensity plots of the
+// paper's Figure 1 (bottom row). The records come from a walk over the
+// run's recorded op log (simmpi's OpLog.Traffic).
 package commmatrix
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
-	"sync"
 )
 
-// maxMatrixRanks bounds the dense matrix size; above this only per-rank
-// totals are kept (a 32K×32K float64 matrix would be 8 GiB).
+// maxMatrixRanks bounds the dense matrix size; above this only the
+// message and byte totals are kept (a 32K×32K float64 matrix would be
+// 8 GiB).
 const maxMatrixRanks = 4096
 
-// Collector accumulates communication records. It is safe for concurrent
-// use by all ranks of a simulation. The zero value is not usable; call
-// NewCollector.
+// Collector accumulates one run's communication records. One goroutine
+// fills it. The zero value is not usable; call NewCollector.
 type Collector struct {
-	mu     sync.Mutex
 	n      int
 	matrix []float64 // n×n point-to-point bytes, nil when n > maxMatrixRanks
 	collM  []float64 // n×n collective-pattern bytes, same gating
-	sent   []float64 // per-source totals
-	recv   []float64 // per-destination totals
 	msgs   int64
+	bytes  float64          // point-to-point total
 	coll   map[string]int64 // collective op counts
 }
 
 // NewCollector creates a collector for an n-rank simulation.
 func NewCollector(n int) *Collector {
-	c := &Collector{
-		n:    n,
-		sent: make([]float64, n),
-		recv: make([]float64, n),
-		coll: make(map[string]int64),
-	}
+	c := &Collector{n: n, coll: make(map[string]int64)}
 	if n <= maxMatrixRanks {
 		c.matrix = make([]float64, n*n)
 		c.collM = make([]float64, n*n)
@@ -46,87 +37,58 @@ func NewCollector(n int) *Collector {
 	return c
 }
 
-// Ranks returns the number of ranks the collector was sized for.
-func (c *Collector) Ranks() int { return c.n }
-
 // RecordP2P notes a point-to-point message of b bytes from src to dst.
 func (c *Collector) RecordP2P(src, dst int, b float64) {
-	if c == nil || src < 0 || dst < 0 || src >= c.n || dst >= c.n {
+	if src < 0 || dst < 0 || src >= c.n || dst >= c.n {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.msgs++
-	c.sent[src] += b
-	c.recv[dst] += b
+	c.bytes += b
 	if c.matrix != nil {
 		c.matrix[src*c.n+dst] += b
 	}
 }
 
-// RecordCollective notes one collective operation of the named kind over
-// p ranks moving b bytes per rank. For matrix purposes collectives are
-// attributed along their logical communication pattern by the caller; this
-// method only counts them.
-func (c *Collector) RecordCollective(kind string, p int, b float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.coll[fmt.Sprintf("%s(p=%d)", kind, p)]++
-}
-
-// RecordCollectivePattern attributes a collective's logical traffic to the
-// matrix: perPair bytes between every ordered pair of the participating
-// ranks (the dense blocks of the paper's Figures 1d and 1e). It is a
-// no-op when dense recording is disabled.
-func (c *Collector) RecordCollectivePattern(ranks []int, perPair float64) {
-	if c == nil || perPair <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// RecordCollective notes one member's op, passing b nominal bytes, in a
+// collective of the named kind over members. It counts the op and
+// attributes its logical traffic to every ordered pair of members (the
+// dense blocks of the paper's Figures 1d and 1e): b per pair for an
+// alltoall, b/len(members) for any other collective, whose b is moved
+// per rank, and 8 bytes when that is not positive.
+func (c *Collector) RecordCollective(kind string, members []int, b float64) {
+	c.coll[fmt.Sprintf("%s(p=%d)", kind, len(members))]++
 	if c.collM == nil {
 		return
 	}
-	for _, i := range ranks {
+	perPair := b
+	if kind != "alltoall" {
+		perPair = b / float64(len(members))
+	}
+	if perPair <= 0 {
+		perPair = 8
+	}
+	for _, i := range members {
 		if i < 0 || i >= c.n {
 			continue
 		}
-		for _, j := range ranks {
-			if i == j || j < 0 || j >= c.n {
-				continue
+		for _, j := range members {
+			if i != j && j >= 0 && j < c.n {
+				c.collM[i*c.n+j] += perPair
 			}
-			c.collM[i*c.n+j] += perPair
 		}
 	}
 }
 
 // Messages returns the number of point-to-point messages recorded.
-func (c *Collector) Messages() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.msgs
-}
+func (c *Collector) Messages() int64 { return c.msgs }
 
 // Bytes returns total point-to-point bytes recorded.
-func (c *Collector) Bytes() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t float64
-	for _, b := range c.sent {
-		t += b
-	}
-	return t
-}
+func (c *Collector) Bytes() float64 { return c.bytes }
 
 // Matrix returns a copy of the combined bytes(src,dst) matrix
 // (point-to-point plus attributed collective traffic), or nil when the
 // run was too large for dense recording.
 func (c *Collector) Matrix() [][]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.matrix == nil {
 		return nil
 	}
@@ -147,8 +109,6 @@ func (c *Collector) Matrix() [][]float64 {
 // simple stencil codes. Collective traffic is excluded (it would paint
 // every pair).
 func (c *Collector) Partners() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.matrix == nil || c.n == 0 {
 		return 0
 	}
@@ -165,8 +125,6 @@ func (c *Collector) Partners() float64 {
 
 // CollectiveCounts returns the recorded collective operations sorted by key.
 func (c *Collector) CollectiveCounts() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	keys := make([]string, 0, len(c.coll))
 	for k := range c.coll {
 		keys = append(keys, k)
@@ -179,24 +137,6 @@ func (c *Collector) CollectiveCounts() []string {
 	return out
 }
 
-// WriteCSV emits the communication matrix as CSV (src rows, dst columns).
-func (c *Collector) WriteCSV(w io.Writer) error {
-	m := c.Matrix()
-	if m == nil {
-		return fmt.Errorf("commmatrix: matrix not recorded for %d ranks", c.n)
-	}
-	for _, row := range m {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			parts[j] = fmt.Sprintf("%g", v)
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(parts, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // heatRunes maps intensity deciles to glyphs, light to dark.
 var heatRunes = []rune(" .:-=+*#%@")
 
@@ -204,8 +144,7 @@ var heatRunes = []rune(" .:-=+*#%@")
 // characters (down-sampling by max over blocks), the textual equivalent of
 // Figure 1's bottom row.
 func (c *Collector) WriteHeatmap(w io.Writer, size int) error {
-	m := c.Matrix()
-	if m == nil {
+	if c.matrix == nil {
 		return fmt.Errorf("commmatrix: matrix not recorded for %d ranks", c.n)
 	}
 	if size <= 0 || size > c.n {
@@ -218,7 +157,7 @@ func (c *Collector) WriteHeatmap(w io.Writer, size int) error {
 	var peak float64
 	for i := 0; i < c.n; i++ {
 		for j := 0; j < c.n; j++ {
-			v := m[i][j]
+			v := c.matrix[i*c.n+j] + c.collM[i*c.n+j]
 			if v <= 0 {
 				continue
 			}

@@ -2,7 +2,6 @@ package commmatrix
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -33,8 +32,6 @@ func TestRecordIgnoresOutOfRange(t *testing.T) {
 	if c.Messages() != 0 {
 		t.Error("out-of-range records counted")
 	}
-	var nilC *Collector
-	nilC.RecordP2P(0, 0, 1) // must not panic
 }
 
 func TestPartners(t *testing.T) {
@@ -58,39 +55,8 @@ func TestLargeRunSkipsMatrixKeepsTotals(t *testing.T) {
 		t.Errorf("totals lost: %g", c.Bytes())
 	}
 	var sb strings.Builder
-	if err := c.WriteCSV(&sb); err == nil {
-		t.Error("WriteCSV should fail without a matrix")
-	}
-}
-
-func TestConcurrentRecording(t *testing.T) {
-	c := NewCollector(8)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.RecordP2P(src, (src+1)%8, 1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if c.Messages() != 800 {
-		t.Errorf("messages = %d, want 800", c.Messages())
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	c := NewCollector(2)
-	c.RecordP2P(0, 1, 8)
-	var sb strings.Builder
-	if err := c.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := "0,8\n0,0\n"
-	if sb.String() != want {
-		t.Errorf("csv = %q, want %q", sb.String(), want)
+	if err := c.WriteHeatmap(&sb, 16); err == nil {
+		t.Error("WriteHeatmap should fail without a matrix")
 	}
 }
 
@@ -132,14 +98,42 @@ func TestWriteHeatmapDownsamples(t *testing.T) {
 
 func TestCollectiveCounts(t *testing.T) {
 	c := NewCollector(4)
-	c.RecordCollective("allreduce", 4, 8)
-	c.RecordCollective("allreduce", 4, 8)
-	c.RecordCollective("alltoall", 4, 64)
+	all := []int{0, 1, 2, 3}
+	c.RecordCollective("allreduce", all, 8)
+	c.RecordCollective("allreduce", all, 8)
+	c.RecordCollective("alltoall", all, 64)
 	got := c.CollectiveCounts()
 	if len(got) != 2 {
 		t.Fatalf("got %d kinds, want 2", len(got))
 	}
 	if !strings.Contains(got[0], "×2") && !strings.Contains(got[1], "×2") {
 		t.Errorf("allreduce count missing: %v", got)
+	}
+}
+
+// TestRecordCollectivePerPair pins how one member's collective op
+// reaches the matrix: an alltoall charges its bytes per pair, any other
+// collective spreads them over its members, and a charge of nothing
+// shows 8 bytes.
+func TestRecordCollectivePerPair(t *testing.T) {
+	c := NewCollector(5)
+	c.RecordCollective("alltoall", []int{0, 1}, 64)
+	c.RecordCollective("allreduce", []int{2, 3, 4}, 96)
+	c.RecordCollective("barrier", []int{0, 3}, 0)
+	c.RecordCollective("bcast", []int{0, 3}, -1)
+	m := c.Matrix()
+	for _, tc := range []struct {
+		i, j int
+		want float64
+	}{
+		{0, 1, 64}, {1, 0, 64}, {2, 3, 32}, {4, 2, 32}, {0, 3, 16}, {3, 0, 16},
+		{0, 0, 0}, {1, 2, 0},
+	} {
+		if got := m[tc.i][tc.j]; got != tc.want {
+			t.Errorf("m[%d][%d] = %g, want %g", tc.i, tc.j, got, tc.want)
+		}
+	}
+	if c.Partners() != 0 {
+		t.Errorf("collective traffic counted as partners: %g", c.Partners())
 	}
 }

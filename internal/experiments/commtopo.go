@@ -21,23 +21,52 @@ type CommTopo struct {
 	Collector *commmatrix.Collector
 }
 
-// captureTopo runs one workload with a communication collector attached,
-// using the workload's downsized Figure 1 capture configuration.
+const (
+	// topoLogBytes bounds one capture's op log for every P up to
+	// maxTopoProcs: HyperCLaw's, the largest, is 22 MB at P=1024.
+	topoLogBytes = 256 << 20
+	// maxTopoProcs is commmatrix's dense-matrix bound: no heatmap can
+	// be drawn above it.
+	maxTopoProcs = 4096
+)
+
+// topoProcs resolves the capture concurrency (0 means 64), rejecting
+// one no heatmap can be drawn for before any world runs.
+func topoProcs(procs int) (int, error) {
+	if procs > maxTopoProcs {
+		return 0, fmt.Errorf("commtopo: P=%d exceeds the %d ranks a communication matrix holds", procs, maxTopoProcs)
+	}
+	if procs <= 0 {
+		return 64, nil
+	}
+	return procs, nil
+}
+
+// captureTopo records one workload's run under its downsized Figure 1
+// capture configuration and folds the op log into a communication
+// matrix.
 func captureTopo(ctx context.Context, w apps.Workload, spec machine.Spec, procs int) (*commmatrix.Collector, error) {
-	col := commmatrix.NewCollector(procs)
-	sim := simmpi.Config{Machine: spec, Procs: procs, Collector: col}
+	rec := simmpi.NewRecorder(topoLogBytes)
+	sim := simmpi.Config{Machine: spec, Procs: procs, Record: rec}
 	if _, err := w.Run(ctx, sim, apps.TopoConfig(w, spec, procs)); err != nil {
 		return nil, fmt.Errorf("commtopo %s: %w", w.Name(), err)
 	}
+	log := rec.Log()
+	if log == nil {
+		return nil, fmt.Errorf("commtopo %s P=%d: op log not recorded (over %d MiB, or phases not nested)",
+			w.Name(), procs, topoLogBytes>>20)
+	}
+	col := commmatrix.NewCollector(procs)
+	log.Traffic(col.RecordP2P, col.RecordCollective)
 	return col, nil
 }
 
-// Fig1CommTopos runs every registered workload at a modest concurrency
-// with a communication collector attached and returns the topologies in
-// registry order.
+// Fig1CommTopos captures every registered workload at a modest
+// concurrency and returns the topologies in registry order.
 func Fig1CommTopos(ctx context.Context, procs int) ([]CommTopo, error) {
-	if procs <= 0 {
-		procs = 64
+	procs, err := topoProcs(procs)
+	if err != nil {
+		return nil, err
 	}
 	spec := machine.Jaguar
 	var out []CommTopo
@@ -55,8 +84,9 @@ func Fig1CommTopos(ctx context.Context, procs int) ([]CommTopo, error) {
 // schedulable (and cacheable) jobs, each result carrying the heatmap
 // prerendered at the given size exactly as CommTopo.Render writes it.
 func Fig1Rendered(ctx context.Context, opts Options, procs, size int) ([]runner.Result, error) {
-	if procs <= 0 {
-		procs = 64
+	procs, err := topoProcs(procs)
+	if err != nil {
+		return nil, err
 	}
 	spec := machine.Jaguar
 	workloads := apps.Workloads()

@@ -3,10 +3,12 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/runner"
 )
 
 func quick() Options { return Options{Quick: true, MaxProcs: 64} }
@@ -263,6 +265,25 @@ func TestFig1CommToposQuick(t *testing.T) {
 	if partners["HyperCLaw"] <= partners["ELBM3D"] {
 		t.Errorf("HyperCLaw partners %.1f not above ELBM3D %.1f",
 			partners["HyperCLaw"], partners["ELBM3D"])
+	}
+}
+
+// TestFig1RejectsOversizedP: a concurrency no communication matrix can
+// hold fails before any world runs. The context is already cancelled, so
+// a capture that did start would fail with the context's error instead.
+func TestFig1RejectsOversizedP(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pool := &runner.Pool{Workers: 2}
+	_, err := Fig1Rendered(ctx, Options{Runner: pool}, maxTopoProcs+1, 48)
+	if err == nil || errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "P=4097") {
+		t.Errorf("Fig1Rendered(P=4097) = %v, want the P bound's error", err)
+	}
+	if st := pool.Stats(); st.Points != 0 {
+		t.Errorf("%d jobs dispatched for a rejected P", st.Points)
+	}
+	if _, err := Fig1CommTopos(ctx, maxTopoProcs+1); err == nil || errors.Is(err, context.Canceled) {
+		t.Errorf("Fig1CommTopos(P=4097) = %v, want the P bound's error", err)
 	}
 }
 

@@ -256,7 +256,7 @@ func (c *Comm) collect(r *Rank, kind collKind, n int32, input slot, nomBytes flo
 
 	r.leave(entry, finish)
 	if l := r.log; l != nil {
-		l.add(opColl, inst, 0)
+		l.add(opColl, inst, nomBytes)
 	}
 	return out
 }
@@ -282,25 +282,8 @@ func fanOutVec(outputs []slot, src []float64) {
 	}
 }
 
-func (c *Comm) record(kind string, b float64) {
-	if tc := c.w.cfg.Collector; tc != nil {
-		tc.RecordCollective(kind, len(c.ranks), b)
-		perPair := b
-		if kind != "alltoall" {
-			// Tree/ring collectives move ~b bytes per rank, spread over
-			// the membership.
-			perPair = b / float64(len(c.ranks))
-		}
-		if perPair <= 0 {
-			perPair = 8
-		}
-		tc.RecordCollectivePattern(c.ranks, perPair)
-	}
-}
-
 // Barrier synchronises all members of the communicator.
 func (r *Rank) Barrier(c *Comm) {
-	c.record("barrier", 0)
 	c.collect(r, collBarrier, 0, slot{}, 0, func(*commShared) float64 { return 0 })
 }
 
@@ -313,7 +296,6 @@ func (r *Rank) Bcast(c *Comm, root int, data []float64) []float64 {
 // BcastNominal is Bcast charging an explicit nominal byte count
 // (nomBytes < 0 charges the actual payload size).
 func (r *Rank) BcastNominal(c *Comm, root int, data []float64, nomBytes float64) []float64 {
-	c.record("bcast", nomBytes)
 	var in slot
 	if c.Rank(r) == root {
 		in.vec = data
@@ -340,7 +322,6 @@ func (r *Rank) Allreduce(c *Comm, data []float64, op Op) []float64 {
 
 // AllreduceNominal is Allreduce charging an explicit nominal byte count.
 func (r *Rank) AllreduceNominal(c *Comm, data []float64, op Op, nomBytes float64) []float64 {
-	c.record("allreduce", nomBytes)
 	out := c.collect(r, collAllreduce, 0, slot{vec: data}, nomBytes, func(s *commShared) float64 {
 		acc := reduceInputs(s.inputs, op)
 		b := s.nomBytes
@@ -362,7 +343,6 @@ func (r *Rank) AllreduceScalar(c *Comm, v float64, op Op) float64 {
 // Reduce combines data to the root (communicator rank). Only the root
 // receives a non-nil result.
 func (r *Rank) Reduce(c *Comm, root int, data []float64, op Op) []float64 {
-	c.record("reduce", float64(len(data)*8))
 	out := c.collect(r, collReduce, 0, slot{vec: data}, float64(len(data)*8), func(s *commShared) float64 {
 		acc := reduceInputs(s.inputs, op)
 		for i := range s.outputs {
@@ -399,7 +379,6 @@ func (r *Rank) Allgather(c *Comm, data []float64) [][]float64 {
 // AllgatherNominal is Allgather charging an explicit per-rank nominal
 // byte count.
 func (r *Rank) AllgatherNominal(c *Comm, data []float64, nomBytes float64) [][]float64 {
-	c.record("allgather", nomBytes)
 	out := c.collect(r, collAllgather, 0, slot{vec: append([]float64(nil), data...)}, nomBytes, func(s *commShared) float64 {
 		all := make([][]float64, len(s.inputs))
 		for i := range s.inputs {
@@ -420,7 +399,6 @@ func (r *Rank) AllgatherNominal(c *Comm, data []float64, nomBytes float64) [][]f
 // Gather collects every member's contribution at the root; only the root
 // receives a non-nil result (read-only slices).
 func (r *Rank) Gather(c *Comm, root int, data []float64) [][]float64 {
-	c.record("gather", float64(len(data)*8))
 	out := c.collect(r, collGather, 0, slot{vec: append([]float64(nil), data...)}, float64(len(data)*8), func(s *commShared) float64 {
 		all := make([][]float64, len(s.inputs))
 		for i := range s.inputs {
@@ -449,7 +427,6 @@ func (r *Rank) AlltoallNominal(c *Comm, parts [][]float64, nomBytesPerPair float
 		panic(fmt.Sprintf("simmpi: alltoall with %d parts on a %d-rank communicator",
 			len(parts), len(c.ranks)))
 	}
-	c.record("alltoall", nomBytesPerPair)
 	// Snapshot inputs so senders may reuse their buffers.
 	snap := make([][]float64, len(parts))
 	for i, p := range parts {
@@ -508,7 +485,6 @@ func (r *Rank) Scatter(c *Comm, root int, parts [][]float64) []float64 {
 		}
 		in.parts = snap
 	}
-	c.record("scatter", 0)
 	out := c.collect(r, collScatter, 0, in, 0, func(s *commShared) float64 {
 		rootParts := s.inputs[root].parts
 		var b float64
@@ -534,7 +510,6 @@ func (r *Rank) ReduceScatter(c *Comm, data []float64, op Op) []float64 {
 	if len(data)%len(c.ranks) != 0 {
 		panic(fmt.Sprintf("simmpi: reduce-scatter of %d elements over %d ranks", len(data), len(c.ranks)))
 	}
-	c.record("reducescatter", float64(len(data)*8))
 	out := c.collect(r, collReduceScatter, 0, slot{vec: data}, float64(len(data)*8), func(s *commShared) float64 {
 		acc := reduceInputs(s.inputs, op)
 		n := len(c.ranks)
@@ -558,7 +533,6 @@ func (r *Rank) ChargeAlltoallN(c *Comm, bytesPerPair float64, n int) {
 	if n <= 0 {
 		return
 	}
-	c.record("alltoall", bytesPerPair)
 	c.collect(r, collAlltoallN, int32(n), slot{}, bytesPerPair, func(s *commShared) float64 {
 		for i := range s.outputs {
 			s.outputs[i] = slot{}
@@ -571,7 +545,6 @@ func (r *Rank) ChargeAlltoallN(c *Comm, bytesPerPair float64, n int) {
 // communicator by (key, world rank), exactly like MPI_Comm_split. Members
 // passing a negative color receive nil.
 func (r *Rank) Split(c *Comm, color, key int) *Comm {
-	c.record("split", 0)
 	out := c.collect(r, collSplit, 0, slot{ck: [2]int{color, key}}, 0, func(s *commShared) float64 {
 		type member struct{ color, key, world, idx int }
 		var ms []member

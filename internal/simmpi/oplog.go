@@ -34,7 +34,7 @@ const (
 	opElapse               // val: seconds
 	opSend                 // arg: destination; val: nominal bytes
 	opRecv                 // arg: source; val (raw): the sender's send ordinal
-	opColl                 // arg: collective instance
+	opColl                 // arg: collective instance; val: the member's nominal bytes
 	opMark                 // opens a phase interval
 	opEnd                  // arg: phase name index; val (raw): depth of its mark
 )
@@ -74,6 +74,54 @@ func (l *OpLog) Bytes() int64 {
 		n += 16 + int64(len(p))
 	}
 	return n
+}
+
+// collNames spells each collective kind as Traffic reports it: a
+// ChargeAlltoallN is an alltoall.
+var collNames = [...]string{
+	collBarrier:       "barrier",
+	collBcast:         "bcast",
+	collAllreduce:     "allreduce",
+	collReduce:        "reduce",
+	collAllgather:     "allgather",
+	collGather:        "gather",
+	collScatter:       "scatter",
+	collAlltoall:      "alltoall",
+	collReduceScatter: "reducescatter",
+	collAlltoallN:     "alltoall",
+	collSplit:         "split",
+}
+
+// Traffic walks the log's communication: ranks in order, each rank's
+// ops in program order. It calls send once per send with its source,
+// destination and nominal bytes, and coll once per member's collective
+// op with the collective's kind, its members (the world ranks whose
+// streams reference it, ascending) and the nominal bytes that member
+// passed, unresolved: a negative count asks for the payload size. Every
+// call for one collective shares its members slice, which the callee
+// must not modify.
+func (l *OpLog) Traffic(send func(src, dst int, bytes float64), coll func(kind string, members []int, bytes float64)) {
+	members := make([][]int, len(l.colls))
+	for i, ci := range l.colls {
+		members[i] = make([]int, 0, ci.size)
+	}
+	for r := 0; r < l.procs; r++ {
+		for pc := l.start[r]; pc < l.start[r+1]; pc++ {
+			if l.kind[pc] == opColl {
+				members[l.arg[pc]] = append(members[l.arg[pc]], r)
+			}
+		}
+	}
+	for r := 0; r < l.procs; r++ {
+		for pc := l.start[r]; pc < l.start[r+1]; pc++ {
+			switch arg := l.arg[pc]; l.kind[pc] {
+			case opSend:
+				send(r, int(arg), l.values[l.val[pc]])
+			case opColl:
+				coll(collNames[l.colls[arg].kind], members[arg], l.values[l.val[pc]])
+			}
+		}
+	}
 }
 
 // Recorder captures one run's op log: set it as Config.Record, run the
@@ -186,7 +234,7 @@ func (rec *Recorder) finish() {
 					colls[arg] = int32(len(l.colls))
 					l.colls = append(l.colls, rec.colls[arg])
 				}
-				arg = colls[arg]
+				arg, val = colls[arg], value(v)
 			case opEnd:
 				name := rl.phases[arg]
 				pi, ok := phases[name]
@@ -277,7 +325,7 @@ func (l *rankLog) phase(name string) int32 {
 // the Report that RunContext would return for the recorded program under
 // cfg, bit for bit. It builds the network model exactly as RunContext
 // does, so configuration errors are the same. cfg.Procs must be the
-// recorded rank count; cfg.Record and cfg.Collector are ignored.
+// recorded rank count; cfg.Record is ignored.
 func (l *OpLog) Price(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("simmpi: nonpositive proc count %d", cfg.Procs)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/machine"
@@ -79,6 +81,48 @@ func record(t *testing.T, cfg Config, body func(*Rank)) *OpLog {
 		t.Fatalf("no log recorded (abandoned %v)", rec.Abandoned())
 	}
 	return rec.Log()
+}
+
+// TestOpLogTraffic walks one small world's log: sends with their
+// nominal bytes, and each member's collective ops with the kind, the
+// member world ranks and the nominal bytes that member passed.
+func TestOpLogTraffic(t *testing.T) {
+	log := record(t, testCfg(4), func(r *Rank) {
+		n, id := r.N(), r.ID()
+		w := r.World()
+		r.Send((id+1)%n, 0, make([]float64, 128))
+		r.Recv((id+n-1)%n, 0)
+		r.Bcast(w, 0, []float64{1, 2, 3})
+		parts := make([][]float64, n)
+		for i := range parts {
+			parts[i] = []float64{float64(i)}
+		}
+		r.AlltoallNominal(w, parts, 512)
+		r.ChargeAlltoallN(w, 1e4, 3)
+		r.Gather(w, 0, make([]float64, id+1))
+		sub := r.Split(w, id%2, id)
+		r.AllreduceNominal(sub, []float64{1}, OpSum, 64)
+	})
+	var got []string
+	log.Traffic(func(src, dst int, bytes float64) {
+		got = append(got, fmt.Sprintf("send %d->%d %g", src, dst, bytes))
+	}, func(kind string, members []int, bytes float64) {
+		got = append(got, fmt.Sprintf("%s %v %g", kind, members, bytes))
+	})
+	var want []string
+	for r := 0; r < 4; r++ {
+		want = append(want,
+			fmt.Sprintf("send %d->%d 1024", r, (r+1)%4),
+			"bcast [0 1 2 3] -1", // unresolved: the payload size
+			"alltoall [0 1 2 3] 512",
+			"alltoall [0 1 2 3] 10000",                  // ChargeAlltoallN
+			fmt.Sprintf("gather [0 1 2 3] %d", 8*(r+1)), // each member's own bytes
+			"split [0 1 2 3] 0",
+			fmt.Sprintf("allreduce [%d %d] 64", r%2, r%2+2))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("traffic:\n got %q\nwant %q", got, want)
+	}
 }
 
 // TestPriceMatchesRun records the mixed program once per size and

@@ -216,9 +216,6 @@ func (r *Rank) SendOwnedNominal(dst, tag int, data []float64, nomBytes float64) 
 	if l := r.log; l != nil {
 		l.add(opSend, int32(dst), nomBytes)
 	}
-	if c := w.cfg.Collector; c != nil {
-		c.RecordP2P(r.id, dst, nomBytes)
-	}
 	k := msgKey{src: r.id, tag: tag}
 	mb := &w.mail[dst]
 	mb.mu.Lock()

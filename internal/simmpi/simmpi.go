@@ -28,6 +28,8 @@
 // on the machine. OpLog.Price replays it against any machine spec and
 // mapping without goroutines, through the same clock arithmetic the
 // running world uses, and returns the same Report bit for bit (oplog.go).
+// OpLog.Traffic walks the same log's sends and collectives, which is how
+// the communication matrix of the paper's Figure 1 is drawn.
 package simmpi
 
 import (
@@ -38,7 +40,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/commmatrix"
 	"repro/internal/machine"
 	"repro/internal/netmodel"
 	"repro/internal/obs"
@@ -55,8 +56,6 @@ type Config struct {
 	Procs int
 	// Mapping optionally overrides the default block rank→node mapping.
 	Mapping topology.Mapping
-	// Collector, if non-nil, records the communication matrix.
-	Collector *commmatrix.Collector
 	// Record, if non-nil, records the run's op log (see oplog.go).
 	Record *Recorder
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/commmatrix"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 )
@@ -295,30 +294,6 @@ func TestPanicInRankAbortsRun(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("rank panic not reported")
-	}
-}
-
-func TestTraceCollectorRecordsMatrix(t *testing.T) {
-	tc := commmatrix.NewCollector(4)
-	cfg := testCfg(4)
-	cfg.Collector = tc
-	_, err := RunContext(context.Background(), cfg, func(r *Rank) {
-		next := (r.ID() + 1) % 4
-		r.Send(next, 0, make([]float64, 128))
-		r.Recv((r.ID()+3)%4, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := tc.Matrix()
-	if m == nil {
-		t.Fatal("no matrix recorded")
-	}
-	if m[0][1] != 1024 {
-		t.Errorf("matrix[0][1] = %g, want 1024 bytes", m[0][1])
-	}
-	if m[0][2] != 0 {
-		t.Errorf("matrix[0][2] = %g, want 0", m[0][2])
 	}
 }
 
