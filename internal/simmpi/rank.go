@@ -216,7 +216,7 @@ func (r *Rank) SendOwnedNominal(dst, tag int, data []float64, nomBytes float64) 
 	if l := r.log; l != nil {
 		l.add(opSend, int32(dst), nomBytes)
 	}
-	k := msgKey{src: r.id, tag: tag}
+	k := newMsgKey(r.id, tag)
 	mb := &w.mail[dst]
 	mb.mu.Lock()
 	mb.push(k, message{data: data, arrive: arrive, seq: seq})
@@ -238,7 +238,7 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	}
 	w := r.w
 	mb := &w.mail[r.id]
-	k := msgKey{src: src, tag: tag}
+	k := newMsgKey(src, tag)
 	mb.mu.Lock()
 	for {
 		if msg, ok := mb.take(k); ok {

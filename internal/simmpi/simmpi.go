@@ -103,8 +103,19 @@ type World struct {
 	memos  map[any]*memoEntry
 }
 
+// msgKey is the (source, tag) a message matches. Every pending entry
+// carries one, and two int32 fields keep an entry at 48 bytes.
 type msgKey struct {
-	src, tag int
+	src, tag int32
+}
+
+// newMsgKey narrows a (source, tag) pair to a msgKey, panicking on a
+// value outside int32 rather than letting it alias another key.
+func newMsgKey(src, tag int) msgKey {
+	if int(int32(src)) != src || int(int32(tag)) != tag {
+		panic(fmt.Sprintf("simmpi: source %d or tag %d outside int32", src, tag))
+	}
+	return msgKey{src: int32(src), tag: int32(tag)}
 }
 
 type message struct {

@@ -3,8 +3,10 @@ package simmpi
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
@@ -294,6 +296,32 @@ func TestPanicInRankAbortsRun(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("rank panic not reported")
+	}
+}
+
+// TestPendingEntrySize pins a mailbox entry at 48 bytes: the send
+// ordinal the op log needs fits beside a key of two int32 fields, so
+// worlds that do not record pay nothing for it.
+func TestPendingEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(pending{}); n != 48 {
+		t.Errorf("a pending entry is %d bytes, want 48", n)
+	}
+}
+
+// TestTagOutsideInt32Fails: a tag that does not fit the mailbox key
+// fails the run instead of matching another key's messages.
+func TestTagOutsideInt32Fails(t *testing.T) {
+	for _, tag := range []int{1 << 31, -1<<31 - 1} {
+		_, err := RunContext(context.Background(), testCfg(2), func(r *Rank) {
+			if r.ID() == 0 {
+				r.Send(1, tag, []float64{1})
+			} else {
+				r.Recv(0, int(int32(tag)))
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "outside int32") {
+			t.Errorf("tag %d: err = %v, want an out-of-range failure", tag, err)
+		}
 	}
 }
 
