@@ -154,14 +154,10 @@ func normalize(name string) string { return machine.FoldName(name) }
 // Cancelling ctx aborts the point promptly with ctx's error.
 //
 // A point's op stream depends on the workload, its configuration and
-// the rank count, not on the machine (see simmpi's oplog.go). So the
-// first run of each (workload, configuration, P) key runs the world and
-// records its op log, and every later point with that key — the same
-// application on another machine, a perturbed spec, a custom platform —
-// prices the log instead, with a bit-identical Report. Concurrent points
-// with one key wait for its single recording. Logs are kept in a
-// process-wide cache bounded by logCacheBytes; a run whose log would
-// outgrow the bound runs unrecorded, then and every later time.
+// the rank count, not on the machine (see simmpi's oplog.go), so the
+// point runs through Simulate keyed by (workload, configuration, P): the
+// same application on another machine, a perturbed spec or a custom
+// platform prices the first point's log with a bit-identical Report.
 func RunPoint(ctx context.Context, w Workload, spec machine.Spec, procs int) (*simmpi.Report, error) {
 	cfg := w.DefaultConfig(spec, procs)
 	run := spec
@@ -175,6 +171,22 @@ func RunPoint(ctx context.Context, w Workload, spec machine.Spec, procs int) (*s
 		}
 	}
 	key := fmt.Sprintf("%s|%#v|P=%d", w.Name(), cfg, procs)
+	return Simulate(ctx, key, sim, func(ctx context.Context, sim simmpi.Config) (*simmpi.Report, error) {
+		return w.Run(ctx, sim, cfg)
+	})
+}
+
+// Simulate runs one world through the process-wide op-log cache. key
+// names the world's op stream: every run with that key must issue the
+// same ops whatever sim's machine and mapping, as a world whose program
+// reads only its configuration and rank count does. The first run of a
+// key calls run with a recorder set and keeps the world's op log; every
+// later run with the key prices the log on its own sim instead, with a
+// bit-identical Report. Concurrent runs with one key wait for its single
+// recording. Logs are kept in a cache bounded by logCacheBytes; a key
+// whose log would outgrow the bound runs unrecorded, then and every
+// later time.
+func Simulate(ctx context.Context, key string, sim simmpi.Config, run func(context.Context, simmpi.Config) (*simmpi.Report, error)) (*simmpi.Report, error) {
 	for {
 		e, log, recording := acquireLog(key)
 		switch {
@@ -183,7 +195,7 @@ func RunPoint(ctx context.Context, w Workload, spec machine.Spec, procs int) (*s
 			return log.Price(ctx, sim)
 		case recording:
 			logCache.misses.Add(1)
-			return e.record(ctx, key, w, sim, cfg)
+			return e.record(ctx, key, sim, run)
 		case e != nil:
 			select {
 			case <-e.done:
@@ -193,11 +205,11 @@ func RunPoint(ctx context.Context, w Workload, spec machine.Spec, procs int) (*s
 			}
 		}
 		logCache.bypasses.Add(1)
-		return w.Run(ctx, sim, cfg)
+		return run(ctx, sim)
 	}
 }
 
-// logCacheBytes bounds the op logs RunPoint keeps. At about 9 bytes per
+// logCacheBytes bounds the op logs Simulate keeps. At about 9 bytes per
 // op, every (workload, configuration, P ≤ 128) key of a quick
 // regeneration and of the served sweep grid together holds about 15 MB;
 // the bound keeps all of them with room to spare. One full-scale P=1024
@@ -245,14 +257,14 @@ func acquireLog(key string) (e *logEntry, log *simmpi.OpLog, recording bool) {
 	return e, nil, false
 }
 
-// record runs the point with a recorder and publishes the outcome to
+// record runs the world with a recorder and publishes the outcome to
 // the entry's waiters, as a failure if the run panics.
-func (e *logEntry) record(ctx context.Context, key string, w Workload, sim simmpi.Config, cfg any) (rep *simmpi.Report, err error) {
+func (e *logEntry) record(ctx context.Context, key string, sim simmpi.Config, run func(context.Context, simmpi.Config) (*simmpi.Report, error)) (rep *simmpi.Report, err error) {
 	rec := simmpi.NewRecorder(logCacheBytes)
 	sim.Record = rec
 	err = errRecordingPanicked
 	defer func() { e.publish(key, rec, err) }()
-	return w.Run(ctx, sim, cfg)
+	return run(ctx, sim)
 }
 
 var errRecordingPanicked = errors.New("apps: recording run panicked")
@@ -295,7 +307,7 @@ func ResetLogCache() {
 	logCache.mu.Unlock()
 }
 
-// LogCacheStats is a snapshot of RunPoint's op-log cache.
+// LogCacheStats is a snapshot of Simulate's op-log cache.
 type LogCacheStats struct {
 	// Entries and Bytes are the logs held now and their size.
 	Entries int

@@ -332,6 +332,37 @@ func TestVirtualNodeStudyQuick(t *testing.T) {
 	}
 }
 
+// TestApexMapStudyColdWarm renders the Apex-MAP study with the op-log
+// cache cold, where each (α, L) point is recorded on one machine and
+// priced on the others, and again warm, where every point is priced:
+// the outputs must be byte-identical.
+func TestApexMapStudyColdWarm(t *testing.T) {
+	render := func() string {
+		res, err := ApexMapStudy(context.Background(), quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, r := range res {
+			b.WriteString(r.Output)
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	apps.ResetLogCache()
+	cold := render()
+	before := apps.LogCache()
+	warm := render()
+	after := apps.LogCache()
+	if cold != warm {
+		t.Errorf("Apex-MAP study differs warm:\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	if after.Misses != before.Misses || after.Hits-before.Hits != 72 {
+		t.Errorf("warm study: %d recordings and %d pricings, want 0 and 72",
+			after.Misses-before.Misses, after.Hits-before.Hits)
+	}
+}
+
 func TestRenderChart(t *testing.T) {
 	fig := &Figure{ID: "t", Title: "t", Scaling: "weak"}
 	fig.Series = []Series{{Machine: "A", Peak: 10, Points: []apps.Point{

@@ -246,9 +246,9 @@ func (s *Server) initObs() {
 			return []obs.Sample{{Value: float64(simmpi.IdleHosts())}}
 		})
 
-	// Record once, price per machine: the op logs RunPoint holds, and
-	// how each point's lookup went.
-	reg.GaugeFunc("petasim_oplog_cache_entries", "Op logs held by RunPoint's record-once cache.",
+	// Record once, price per machine: the op logs apps.Simulate holds
+	// (app points and Apex-MAP points), and how each lookup went.
+	reg.GaugeFunc("petasim_oplog_cache_entries", "Op logs held by the record-once cache.",
 		func() []obs.Sample {
 			return []obs.Sample{{Value: float64(apps.LogCache().Entries)}}
 		})
