@@ -663,10 +663,10 @@ func (s *State) ProbeDensity(i, j, k int) float64 {
 }
 
 // Run executes the HyperCLaw benchmark. The first run at a given
-// (config, nprocs) point records its physics trajectory; repeat runs —
+// (physics, nprocs) point records its physics trajectory; repeat runs —
 // study ladders re-costing the same problem, full-scale figure points
 // whose op logs are too big to keep — replay it metadata-only with a
-// bit-identical Report.
+// bit-identical Report, whatever their cost-only fields.
 func Run(ctx context.Context, sim simmpi.Config, cfg Config) (*simmpi.Report, error) {
 	traj, rec := acquireTrajectory(ctx, trajKey(cfg, sim.Procs))
 	var recTraj *trajectory

@@ -35,6 +35,32 @@ func (w workload) TopoConfig(spec machine.Spec, procs int) any {
 	return cfg
 }
 
+// amroptLadder is the §8.1 knapsack/regrid optimisation ladder, baseline
+// first.
+var amroptLadder = []struct {
+	label          string
+	naive, copying bool
+}{
+	{"original (O(N²) intersect, copying knapsack)", true, true},
+	{"+ pointer-swap knapsack", true, false},
+	{"+ hashed O(N log N) intersection", false, false},
+}
+
+// amroptConfig is rung i of the ladder at procs. Every rung differs from
+// Figure 7's point only in cost fields, so all of them replay the
+// trajectory that point records.
+func amroptConfig(procs, i int) Config {
+	cfg := DefaultConfig(procs)
+	// A large nominal hierarchy exercises the regrid machinery the way
+	// the paper's "hundreds of thousands of boxes" stress it; the §8.1
+	// measurements put knapsack+regrid near 60% of large runs.
+	cfg.NomBase = [3]int{512 * 8, 64, 32}
+	cfg.NomMaxBoxCells = 16 * 16 * 16
+	cfg.NaiveIntersect = amroptLadder[i].naive
+	cfg.CopyingKnapsack = amroptLadder[i].copying
+	return cfg
+}
+
 // Studies implements apps.Studier with the §8.1 knapsack/regrid
 // optimisation ladder on the X1E: the original O(N²) box intersection
 // and list-copying knapsack against the hashed O(N log N) intersection
@@ -44,24 +70,8 @@ func (workload) Studies(quick bool) []apps.Study {
 	if quick {
 		procs = 16
 	}
-	cfg := DefaultConfig(procs)
-	// A large nominal hierarchy exercises the regrid machinery the way
-	// the paper's "hundreds of thousands of boxes" stress it; the §8.1
-	// measurements put knapsack+regrid near 60% of large runs.
-	cfg.NomBase = [3]int{512 * 8, 64, 32}
-	cfg.NomMaxBoxCells = 16 * 16 * 16
-
-	type variant struct {
-		label          string
-		naive, copying bool
-	}
-	variants := []variant{
-		{"original (O(N²) intersect, copying knapsack)", true, true},
-		{"+ pointer-swap knapsack", true, false},
-		{"+ hashed O(N log N) intersection", false, false},
-	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
+	labels := make([]string, len(amroptLadder))
+	for i, v := range amroptLadder {
 		labels[i] = v.label
 	}
 	return []apps.Study{{
@@ -71,10 +81,7 @@ func (workload) Studies(quick bool) []apps.Study {
 		Procs:   procs,
 		Labels:  labels,
 		Wall: func(ctx context.Context, i int) (float64, error) {
-			c := cfg
-			c.NaiveIntersect = variants[i].naive
-			c.CopyingKnapsack = variants[i].copying
-			rep, err := Run(ctx, simmpi.Config{Machine: machine.Phoenix, Procs: procs}, c)
+			rep, err := Run(ctx, simmpi.Config{Machine: machine.Phoenix, Procs: procs}, amroptConfig(procs, i))
 			if err != nil {
 				return 0, err
 			}
