@@ -23,17 +23,25 @@ func ApexMapStudy(ctx context.Context, opts Options) ([]runner.Result, error) {
 		if procs > spec.TotalProcs {
 			procs = spec.TotalProcs
 		}
+		// Each machine's sweep starts at a different α, so concurrent
+		// jobs record different points instead of waiting on one
+		// recording; the line lists the points in α order all the same.
+		off := i % len(alphas)
+		rotated := append(alphas[off:len(alphas):len(alphas)], alphas[:off]...)
 		jobs[i] = runner.Job{
 			Key: runner.Key("apexmap", spec, procs, alphas, ls),
 			Run: func(ctx context.Context) (runner.Result, error) {
-				res, err := apexmap.Sweep(ctx, spec, procs, alphas, ls)
+				res, err := apexmap.Sweep(ctx, spec, procs, rotated, ls)
 				if err != nil {
 					return runner.Result{}, fmt.Errorf("apexmap %s: %w", spec.Name, err)
 				}
 				var b strings.Builder
 				fmt.Fprintf(&b, "%-9s", spec.Name)
-				for _, r := range res {
-					fmt.Fprintf(&b, "  a=%.2f/L=%-3d %8.2f", r.Alpha, r.L, r.AccessPerUs)
+				for a := range alphas {
+					j := (a - off + len(alphas)) % len(alphas)
+					for _, r := range res[j*len(ls) : (j+1)*len(ls)] {
+						fmt.Fprintf(&b, "  a=%.2f/L=%-3d %8.2f", r.Alpha, r.L, r.AccessPerUs)
+					}
 				}
 				return runner.Result{
 					Experiment: "Apex-MAP", Machine: spec.Name, Procs: procs,
