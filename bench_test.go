@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/apps/hyperclaw"
 	"repro/internal/benchtraj"
 	"repro/internal/experiments"
 	"repro/internal/runner"
@@ -78,7 +77,6 @@ func BenchmarkFig8Summary(b *testing.B) { suite(b, "Fig8Summary")(b) }
 func BenchmarkAllFiguresSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		hyperclaw.ResetTrajectoryCache()
 		apps.ResetLogCache()
 		opts := experiments.Options{Quick: true, MaxProcs: 64,
 			Runner: &runner.Pool{Workers: 1}}

@@ -38,8 +38,8 @@ var AccessKernel = perfmodel.Kernel{
 
 // Config describes one Apex-MAP run.
 type Config struct {
-	// TableSize is the global table length in elements (distributed
-	// evenly across ranks).
+	// TableSize is the global table length in elements, distributed
+	// evenly across ranks: a multiple of the rank count.
 	TableSize int
 	// Accesses is the number of block accesses per rank per round.
 	Accesses int
@@ -69,6 +69,8 @@ func (c Config) validate(procs int) error {
 	switch {
 	case c.TableSize < procs:
 		return fmt.Errorf("apexmap: table smaller than rank count")
+	case c.TableSize%procs != 0:
+		return fmt.Errorf("apexmap: table of %d elements does not divide among %d ranks", c.TableSize, procs)
 	case c.Accesses < 1 || c.Rounds < 1:
 		return fmt.Errorf("apexmap: need at least one access and round")
 	case c.Alpha <= 0 || c.Alpha > 1:

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -34,6 +35,16 @@ func TestValidation(t *testing.T) {
 	bad.TableSize = 2
 	if err := bad.validate(4); err == nil {
 		t.Error("undersized table accepted")
+	}
+	// A table that does not divide among the ranks would give a draw in
+	// its last N mod P cells an owner past the last rank.
+	for _, procs := range []int{7, 11, 13} {
+		bad = cfg()
+		bad.TableSize, bad.Alpha, bad.L = 1000, 1, 1
+		_, err := Run(context.Background(), simmpi.Config{Machine: machine.Jaguar, Procs: procs}, bad)
+		if err == nil || !strings.Contains(err.Error(), "does not divide") {
+			t.Errorf("N=1000 at P=%d: got %v, want the table rejected", procs, err)
+		}
 	}
 }
 

@@ -2,13 +2,14 @@ package hyperclaw
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/amr"
+	"repro/internal/apps"
 	"repro/internal/machine"
 	"repro/internal/simmpi"
 )
@@ -317,7 +318,7 @@ func TestManyCommunicatingPartners(t *testing.T) {
 	}
 }
 
-// TestTrajectoryReplayBitIdentical pins the trajectory cache's hard
+// TestTrajectoryReplayBitIdentical pins the trajectory replay's hard
 // contract: a metadata-only replay at a (physics, nprocs) point produces
 // exactly the Report a full-physics run produces. A run on Bassi records
 // the trajectory; a Jaguar run then replays it, under the recorded
@@ -357,7 +358,8 @@ func TestTrajectoryReplayBitIdentical(t *testing.T) {
 			}
 			return rep
 		}
-		ResetTrajectoryCache()
+		apps.ResetLogCache()
+		before := apps.LogCache().Entries
 		run(machine.Bassi, cfg) // records
 		if procs == 64 {
 			checkCrossRankKinds(t, cfg, procs)
@@ -365,15 +367,12 @@ func TestTrajectoryReplayBitIdentical(t *testing.T) {
 		replays := make([]*simmpi.Report, len(variants))
 		for vi, v := range variants {
 			replays[vi] = run(machine.Jaguar, v) // replays
-			trajMu.Lock()
-			recorded := len(trajCache)
-			trajMu.Unlock()
-			if recorded != 1 {
+			if recorded := apps.LogCache().Entries - before; recorded != 1 {
 				t.Fatalf("P=%d variant %d: %d trajectories recorded, want the one it replays", procs, vi, recorded)
 			}
 		}
 		for vi, v := range variants {
-			ResetTrajectoryCache()
+			apps.ResetLogCache()
 			fresh := run(machine.Jaguar, v) // records from scratch
 			replayed := replays[vi]
 			if replayed.Wall != fresh.Wall ||
@@ -446,51 +445,6 @@ func TestTrajectoryKeyPhysicsOnly(t *testing.T) {
 	}
 }
 
-// TestTrajectoryCacheBounded fills the trajectory cache past its limit
-// while the first recording is still in flight. The map never holds
-// more than trajCacheLimit entries, and the recording whose entry was
-// cleared still publishes its trajectory to the waiters holding it.
-func TestTrajectoryCacheBounded(t *testing.T) {
-	ResetTrajectoryCache()
-	defer ResetTrajectoryCache()
-	ctx := context.Background()
-	_, first := acquireTrajectory(ctx, "first")
-	if first == nil {
-		t.Fatal("an unseen key handed out no recorder")
-	}
-	trajMu.Lock()
-	waiting := trajCache["first"] // what a concurrent waiter holds
-	trajMu.Unlock()
-	for i := 0; i < 2*trajCacheLimit; i++ {
-		_, rec := acquireTrajectory(ctx, fmt.Sprintf("key%d", i))
-		if rec == nil {
-			t.Fatalf("key%d: an unseen key handed out no recorder", i)
-		}
-		rec.publish(true)
-		trajMu.Lock()
-		n := len(trajCache)
-		trajMu.Unlock()
-		if n > trajCacheLimit {
-			t.Fatalf("after %d inserts the cache holds %d entries, limit %d", i+2, n, trajCacheLimit)
-		}
-	}
-	trajMu.Lock()
-	cleared := trajCache["first"] != waiting
-	trajMu.Unlock()
-	if !cleared {
-		t.Fatal("the in-flight entry survived every clear; the test checked nothing")
-	}
-	first.publish(true)
-	select {
-	case <-waiting.done:
-	default:
-		t.Fatal("publishing a cleared entry did not release its waiters")
-	}
-	if waiting.traj != first.traj {
-		t.Fatal("waiters on a cleared entry did not receive its trajectory")
-	}
-}
-
 // checkCrossRankKinds replays the recorded trajectory at (cfg, procs)
 // and fails unless every exchange schedule kind received a message on
 // some rank, so the replay comparison covers all five kinds. Each rank
@@ -499,8 +453,12 @@ func TestTrajectoryCacheBounded(t *testing.T) {
 // until the next one.
 func checkCrossRankKinds(t *testing.T, cfg Config, procs int) {
 	t.Helper()
-	traj, rec := acquireTrajectory(context.Background(), trajKey(cfg, procs))
-	if traj == nil || rec != nil {
+	held, publish := apps.Claim(context.Background(), trajKey(cfg, procs))
+	traj, ok := held.(*trajectory)
+	if !ok {
+		if publish != nil {
+			publish(nil, errors.New("no trajectory"))
+		}
 		t.Fatal("no recorded trajectory to replay")
 	}
 	var mu sync.Mutex

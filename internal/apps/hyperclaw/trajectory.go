@@ -1,9 +1,7 @@
 package hyperclaw
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/amr"
 )
@@ -18,7 +16,7 @@ import (
 // flops. A point run through apps.RunPoint prices its recorded op log
 // when one is held, but the optimisation studies call Run directly with
 // cost-only variants of a figure's configuration, and a full-scale
-// point's log outgrows that cache (one P=1024 log is tens of megabytes):
+// point's log outgrows the cache (one P=1024 log is tens of megabytes):
 // those runs would recompute an identical PDE trajectory once per
 // ablation variant or machine column that only re-costs the same
 // physics. The quick §8.1 ladder replays the P=16 trajectory that
@@ -34,6 +32,10 @@ import (
 // function of the box metadata alone, and every nominal count is
 // recomputed from the replaying run's own configuration), so the
 // modelled Report is bit-identical to a full run's.
+//
+// Trajectories are one kind of recording in the apps record-once cache,
+// beside the op logs: Run claims its trajKey there, and held
+// trajectories share the cache's byte bound, LRU and reset.
 type trajectory struct {
 	// vmax is the global maximum wave speed per computeDt call, in call
 	// order (the only field quantity entering time-step control).
@@ -46,26 +48,19 @@ type trajectory struct {
 	tags []amr.TagSet
 }
 
-// trajEntry is one cache slot. done is closed when the recording run
-// finishes; traj stays nil if it failed, signalling waiters to re-claim.
-type trajEntry struct {
-	done chan struct{}
-	traj *trajectory
+// Bytes estimates the memory a trajectory holds, for the cache's bound:
+// 8 bytes per vmax and per tag length, and 64 per tagged cell, a [3]int
+// key in a map plus the slack of a grown map (57–82 bytes per cell
+// measured from 1,000 to 112,000 cells). Figure 7's default
+// configuration tags 5,768 cells over its 4 rounds at P=16 and 57,884
+// at P=512, 0.37 and 3.7 MB.
+func (t *trajectory) Bytes() int64 {
+	n := int64(len(t.vmax)) * 8
+	for i := range t.tags {
+		n += int64(len(t.tagLens[i]))*8 + int64(len(t.tags[i]))*64
+	}
+	return n
 }
-
-var (
-	trajMu    sync.Mutex
-	trajCache = map[string]*trajEntry{}
-)
-
-// trajCacheLimit bounds the recorded trajectories kept at once: one
-// P=1024 trajectory retains over a hundred thousand tagged cells, and a
-// long-running server records one per distinct (physics, P) its clients
-// ask for. Like netmodel.Cached, a full cache is cleared rather than
-// evicted piecemeal. A quick `petasim all` records 5 trajectories (the
-// §8.1 ladder replays Figure 7's) and a full-scale one 7, so at 32 a
-// regeneration never records one twice.
-const trajCacheLimit = 32
 
 // physics is the part of a Config the trajectory depends on: every
 // field the field-data side of a run reads. The rest — NomBase,
@@ -83,76 +78,13 @@ type physics struct {
 	CFL            float64
 }
 
-// trajKey names a trajectory by its physics inputs and rank count, so
-// configurations that differ only in cost share one.
+// trajKey names a trajectory in the apps cache by its physics inputs and
+// rank count, so configurations that differ only in cost share one. Its
+// prefix keeps it apart from RunPoint's "HyperCLaw|" op-log keys.
 func trajKey(cfg Config, procs int) string {
-	return fmt.Sprintf("%+v|P=%d", physics{
+	return fmt.Sprintf("hyperclaw-trajectory|%+v|P=%d", physics{
 		ActBase: cfg.ActBase, Ratios: cfg.Ratios, Steps: cfg.Steps,
 		RegridInterval: cfg.RegridInterval, TagThreshold: cfg.TagThreshold,
 		MaxBoxCells: cfg.MaxBoxCells, BC: cfg.BC, CFL: cfg.CFL,
 	}, procs)
-}
-
-// ResetTrajectoryCache drops every recorded trajectory. Benchmark
-// bodies that promise fully cold iterations call this between runs.
-func ResetTrajectoryCache() {
-	trajMu.Lock()
-	trajCache = map[string]*trajEntry{}
-	trajMu.Unlock()
-}
-
-// trajRecorder publishes a trajectory recorded by a full-physics run.
-type trajRecorder struct {
-	key   string
-	entry *trajEntry
-	traj  *trajectory
-}
-
-// publish completes the recording: on success waiters replay the
-// trajectory, on failure (aborted run) the slot is vacated so the next
-// run at this point records instead.
-func (rec *trajRecorder) publish(ok bool) {
-	if ok {
-		rec.entry.traj = rec.traj
-	} else {
-		trajMu.Lock()
-		if trajCache[rec.key] == rec.entry {
-			delete(trajCache, rec.key)
-		}
-		trajMu.Unlock()
-	}
-	close(rec.entry.done)
-}
-
-// acquireTrajectory resolves a (config, nprocs) point against the cache:
-// a non-nil trajectory means replay it; a non-nil recorder means run the
-// full physics and publish through it. Both nil (cancelled while
-// waiting) means run the full physics unrecorded — the run is about to
-// abort on ctx anyway.
-func acquireTrajectory(ctx context.Context, key string) (*trajectory, *trajRecorder) {
-	for {
-		trajMu.Lock()
-		e := trajCache[key]
-		if e == nil {
-			if len(trajCache) >= trajCacheLimit {
-				// In-flight recorders keep their entries and still
-				// publish to the waiters already holding them.
-				clear(trajCache)
-			}
-			e = &trajEntry{done: make(chan struct{})}
-			trajCache[key] = e
-			trajMu.Unlock()
-			return nil, &trajRecorder{key: key, entry: e, traj: &trajectory{}}
-		}
-		trajMu.Unlock()
-		select {
-		case <-e.done:
-			if e.traj != nil {
-				return e.traj, nil
-			}
-			// The recording run failed; loop and race to re-claim.
-		case <-ctx.Done():
-			return nil, nil
-		}
-	}
 }

@@ -176,70 +176,121 @@ func RunPoint(ctx context.Context, w Workload, spec machine.Spec, procs int) (*s
 	})
 }
 
-// Simulate runs one world through the process-wide op-log cache. key
-// names the world's op stream: every run with that key must issue the
-// same ops whatever sim's machine and mapping, as a world whose program
-// reads only its configuration and rank count does. The first run of a
-// key calls run with a recorder set and keeps the world's op log; every
-// later run with the key prices the log on its own sim instead, with a
-// bit-identical Report. Concurrent runs with one key wait for its single
-// recording. Logs are kept in a cache bounded by logCacheBytes; a key
-// whose log would outgrow the bound runs unrecorded, then and every
-// later time.
+// Simulate runs one world through the process-wide record-once cache.
+// key names the world's op stream: every run with that key must issue
+// the same ops whatever sim's machine and mapping, as a world whose
+// program reads only its configuration and rank count does. The first
+// run of a key calls run with a recorder set and keeps the world's op
+// log; every later run with the key prices the log on its own sim
+// instead, with a bit-identical Report. Concurrent runs with one key
+// wait for its single recording. A key whose log would outgrow
+// logCacheBytes runs unrecorded, then and every later time.
 func Simulate(ctx context.Context, key string, sim simmpi.Config, run func(context.Context, simmpi.Config) (*simmpi.Report, error)) (*simmpi.Report, error) {
-	for {
-		e, log, recording := acquireLog(key)
-		switch {
-		case log != nil:
-			logCache.hits.Add(1)
-			return log.Price(ctx, sim)
-		case recording:
-			logCache.misses.Add(1)
-			return e.record(ctx, key, sim, run)
-		case e != nil:
-			select {
-			case <-e.done:
-				continue // priced next time round, or re-claimed if it failed
-			case <-ctx.Done():
-				// Run unrecorded: it aborts on ctx at its first op.
-			}
-		}
-		logCache.bypasses.Add(1)
-		return run(ctx, sim)
+	held, publish := Claim(ctx, key)
+	switch {
+	case held != nil:
+		logCache.hits.Add(1)
+		return held.(*simmpi.OpLog).Price(ctx, sim)
+	case publish != nil:
+		logCache.misses.Add(1)
+		return record(ctx, sim, run, publish)
 	}
+	logCache.bypasses.Add(1)
+	return run(ctx, sim)
 }
 
-// logCacheBytes bounds the op logs Simulate keeps. At about 9 bytes per
-// op, every (workload, configuration, P ≤ 128) key of a quick
-// regeneration and of the served sweep grid together holds about 15 MB;
+// record runs the world with a recorder and publishes its log, or its
+// failure, as a failure if the run panics.
+func record(ctx context.Context, sim simmpi.Config, run func(context.Context, simmpi.Config) (*simmpi.Report, error), publish func(Recording, error)) (rep *simmpi.Report, err error) {
+	rec := simmpi.NewRecorder(logCacheBytes)
+	sim.Record = rec
+	err = errRecordingPanicked
+	defer func() {
+		var log Recording // a nil interface, not a nil *OpLog, when abandoned
+		if l := rec.Log(); l != nil {
+			log = l
+		}
+		publish(log, err)
+	}()
+	return run(ctx, sim)
+}
+
+var errRecordingPanicked = errors.New("apps: recording run panicked")
+
+// Recording is what the record-once cache holds for a key: Simulate's op
+// logs, and the HyperCLaw physics trajectories its optimisation studies
+// replay. Bytes is the memory it holds, charged against logCacheBytes;
+// it must not change once the recording is published.
+type Recording interface{ Bytes() int64 }
+
+// logCacheBytes bounds the recordings the cache holds. At about 9 bytes
+// per op, every (workload, configuration, P ≤ 128) key of a quick
+// regeneration and of the served sweep grid together holds about 15 MB
+// of logs, and a quick regeneration's five HyperCLaw trajectories 3 MB;
 // the bound keeps all of them with room to spare. One full-scale P=1024
-// HyperCLaw log alone is 36.4 MB, so full-scale regenerations
-// record their largest points on every machine, as before.
+// HyperCLaw log alone is 36.4 MB, so full-scale regenerations record
+// their largest points on every machine.
 const logCacheBytes = 32 << 20
 
 // logEntry is one key's slot. done is closed when the recording run
-// ends; log stays nil if it failed, and skip marks a key whose recording
-// was abandoned, which runs unrecorded from then on.
+// ends; held stays nil if it failed, and skip marks a key whose
+// recording was abandoned, which runs unrecorded from then on.
 type logEntry struct {
 	done chan struct{}
-	log  *simmpi.OpLog
+	held Recording
 	skip bool
-	elem *list.Element // in logCache.lru while the log is held
+	elem *list.Element // in logCache.lru while the entry is current and held
 }
 
 var logCache = struct {
 	mu      sync.Mutex
 	entries map[string]*logEntry
-	lru     list.List // keys of held logs, most recently used first
+	lru     list.List // keys of held recordings, most recently used first
 	bytes   int64
 
 	hits, misses, bypasses atomic.Int64
 }{entries: map[string]*logEntry{}}
 
-// acquireLog resolves key against the cache: a log to price; recording
-// true to run the point and publish to e; e alone to wait on e.done; or
-// nothing to run unrecorded.
-func acquireLog(key string) (e *logEntry, log *simmpi.OpLog, recording bool) {
+// Claim resolves key against the record-once cache Simulate uses. It
+// returns the recording held for key; or, when none is held or being
+// made, publish, which makes the caller the key's one recorder; or
+// neither, when the key cannot be recorded or ctx ends while another
+// run records it, and the caller runs unrecorded. A claim of a key
+// being recorded waits for its publish. The recorder calls publish
+// exactly once: with its recording to hold it; with the run's error to
+// vacate the key, so that the next claim records; or with neither when
+// the run cannot be recorded, so that the key runs unrecorded from then
+// on. Each kind of recording keys under its own prefix, so that a key
+// always holds the kind its claimers expect.
+func Claim(ctx context.Context, key string) (held Recording, publish func(Recording, error)) {
+	for {
+		e, r, recording := acquire(key)
+		switch {
+		case r != nil:
+			return r, nil
+		case recording:
+			return nil, func(r Recording, err error) { e.publish(key, r, err) }
+		case e == nil:
+			return nil, nil
+		}
+		select {
+		case <-e.done:
+			// A recording published to e reaches its waiters even if a
+			// reset or eviction took e out of the cache meanwhile.
+			if e.held != nil || e.skip {
+				return e.held, nil
+			}
+			// The recording failed: claim the key again.
+		case <-ctx.Done():
+			return nil, nil
+		}
+	}
+}
+
+// acquire looks key up: a held recording; recording true to record it
+// and publish to e; e alone to wait on e.done; or nothing for a key that
+// runs unrecorded.
+func acquire(key string) (e *logEntry, held Recording, recording bool) {
 	logCache.mu.Lock()
 	defer logCache.mu.Unlock()
 	e = logCache.entries[key]
@@ -248,47 +299,35 @@ func acquireLog(key string) (e *logEntry, log *simmpi.OpLog, recording bool) {
 		e = &logEntry{done: make(chan struct{})}
 		logCache.entries[key] = e
 		return e, nil, true
-	case e.log != nil:
+	case e.held != nil:
 		logCache.lru.MoveToFront(e.elem)
-		return e, e.log, false
+		return e, e.held, false
 	case e.skip:
 		return nil, nil, false
 	}
 	return e, nil, false
 }
 
-// record runs the world with a recorder and publishes the outcome to
-// the entry's waiters, as a failure if the run panics.
-func (e *logEntry) record(ctx context.Context, key string, sim simmpi.Config, run func(context.Context, simmpi.Config) (*simmpi.Report, error)) (rep *simmpi.Report, err error) {
-	rec := simmpi.NewRecorder(logCacheBytes)
-	sim.Record = rec
-	err = errRecordingPanicked
-	defer func() { e.publish(key, rec, err) }()
-	return run(ctx, sim)
-}
-
-var errRecordingPanicked = errors.New("apps: recording run panicked")
-
-// publish completes a recording: a finished log joins the cache,
-// evicting the least recently used beyond the bound; an abandoned one
-// marks the key to run unrecorded; a failed or cancelled run vacates
-// the slot so the next point with the key records instead.
-func (e *logEntry) publish(key string, rec *simmpi.Recorder, err error) {
+// publish completes a recording: a finished one joins the cache,
+// evicting the least recently used beyond the bound; one that cannot be
+// recorded marks the key to run unrecorded; a failed or cancelled run
+// vacates the slot so the next claim of the key records instead.
+func (e *logEntry) publish(key string, r Recording, err error) {
 	logCache.mu.Lock()
 	current := logCache.entries[key] == e
 	switch {
-	case err == nil && rec.Log() != nil:
-		e.log = rec.Log()
+	case err == nil && r != nil:
+		e.held = r
 		if current {
 			e.elem = logCache.lru.PushFront(key)
-			logCache.bytes += e.log.Bytes()
+			logCache.bytes += r.Bytes()
 			for logCache.bytes > logCacheBytes {
 				old := logCache.lru.Remove(logCache.lru.Back()).(string)
-				logCache.bytes -= logCache.entries[old].log.Bytes()
+				logCache.bytes -= logCache.entries[old].held.Bytes()
 				delete(logCache.entries, old)
 			}
 		}
-	case err == nil && rec.Abandoned():
+	case err == nil:
 		e.skip = true
 	case current:
 		delete(logCache.entries, key)
@@ -297,7 +336,7 @@ func (e *logEntry) publish(key string, rec *simmpi.Recorder, err error) {
 	close(e.done)
 }
 
-// ResetLogCache drops every recorded op log. Benchmark bodies that
+// ResetLogCache drops every held recording. Benchmark bodies that
 // promise fully cold iterations call this between runs.
 func ResetLogCache() {
 	logCache.mu.Lock()
@@ -307,17 +346,18 @@ func ResetLogCache() {
 	logCache.mu.Unlock()
 }
 
-// LogCacheStats is a snapshot of Simulate's op-log cache.
+// LogCacheStats is a snapshot of the record-once cache.
 type LogCacheStats struct {
-	// Entries and Bytes are the logs held now and their size.
+	// Entries and Bytes are the recordings held now, op logs and
+	// HyperCLaw trajectories, and their size.
 	Entries int
 	Bytes   int64
-	// Hits, Misses and Bypasses count lifetime lookups by outcome:
-	// priced from a held log, recorded, or run unrecorded.
+	// Hits, Misses and Bypasses count Simulate's lifetime lookups by
+	// outcome: priced from a held log, recorded, or run unrecorded.
 	Hits, Misses, Bypasses int64
 }
 
-// LogCache snapshots the op-log cache.
+// LogCache snapshots the record-once cache.
 func LogCache() LogCacheStats {
 	logCache.mu.Lock()
 	st := LogCacheStats{Entries: logCache.lru.Len(), Bytes: logCache.bytes}

@@ -211,7 +211,6 @@ func benchFig8Summary(ctx context.Context, b *testing.B) {
 func benchAllFiguresCold(ctx context.Context, b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		hyperclaw.ResetTrajectoryCache()
 		apps.ResetLogCache()
 		opts := experiments.Options{Quick: true, MaxProcs: 64,
 			Runner: &runner.Pool{Workers: runtime.GOMAXPROCS(0)}}
@@ -278,14 +277,15 @@ func benchWhatIfWarm(ctx context.Context, b *testing.B) {
 
 // benchStudy regenerates one quick optimisation study by its stable
 // identifier ("gtcopt" is §3.1's BG/L ladder, "amropt" §8.1's X1E
-// knapsack/regrid comparison). Each iteration starts with no HyperCLaw
-// trajectory, so amropt's first rung records the one its three rungs
-// share instead of replaying one an earlier entry or iteration left.
+// knapsack/regrid comparison). Each iteration starts with an empty
+// record-once cache, so amropt's first rung records the HyperCLaw
+// trajectory its three rungs share instead of replaying one an earlier
+// entry or iteration left.
 func benchStudy(id string) func(context.Context, *testing.B) {
 	return func(ctx context.Context, b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			hyperclaw.ResetTrajectoryCache()
+			apps.ResetLogCache()
 			opts := experiments.Options{Quick: true}
 			if _, _, err := experiments.RunStudyByID(ctx, opts, id); err != nil {
 				b.Fatal(err)

@@ -246,13 +246,14 @@ func (s *Server) initObs() {
 			return []obs.Sample{{Value: float64(simmpi.IdleHosts())}}
 		})
 
-	// Record once, price per machine: the op logs apps.Simulate holds
-	// (app points and Apex-MAP points), and how each lookup went.
-	reg.GaugeFunc("petasim_oplog_cache_entries", "Op logs held by the record-once cache.",
+	// Record once, price per machine: the recordings the apps cache
+	// holds (op logs of app and Apex-MAP points, HyperCLaw
+	// trajectories), and how each apps.Simulate lookup went.
+	reg.GaugeFunc("petasim_oplog_cache_entries", "Recordings held by the record-once cache: op logs and HyperCLaw trajectories.",
 		func() []obs.Sample {
 			return []obs.Sample{{Value: float64(apps.LogCache().Entries)}}
 		})
-	reg.GaugeFunc("petasim_oplog_cache_bytes", "Bytes of the op logs held.",
+	reg.GaugeFunc("petasim_oplog_cache_bytes", "Bytes of the recordings held, op logs and HyperCLaw trajectories.",
 		func() []obs.Sample {
 			return []obs.Sample{{Value: float64(apps.LogCache().Bytes)}}
 		})
